@@ -113,15 +113,16 @@ RunOutcome run_race(const RunOptions& options, const std::string& bug) {
   }
 
   rt::StartGate gate;
-  auto worker = [&](int base) {
+  auto worker = [&](int base, bool later) {
     gate.wait();
+    if (later) arrival_skew(options);  // clients do not start in lockstep
     for (int i = 0; i < ops; ++i) {
       cache.put(base + i, i);       // distinct new keys -> size_ bumps
       (void)cache.get(10'000 + i);  // guaranteed hits -> hits_ bumps
     }
   };
-  rt::Thread a(worker, 0);
-  rt::Thread b(worker, 1000);
+  rt::Thread a(worker, 0, false);
+  rt::Thread b(worker, 1000, true);
   gate.open();
   a.join();
   b.join();
@@ -197,6 +198,7 @@ RunOutcome run_atomicity1(const RunOptions& options,
   });
   rt::Thread reader([&] {
     gate.wait();
+    arrival_skew(options);  // the lookup is an independent request
     // Retry until the entry is published, then the breakpoint aligns the
     // read into the publication/initialization window.
     for (int attempt = 0; attempt < 1'000'000; ++attempt) {

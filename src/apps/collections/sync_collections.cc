@@ -176,7 +176,7 @@ RunOutcome run_list_atomicity1(const RunOptions& options) {
   });
   rt::Thread clearer([&] {
     gate.wait();
-    rt::clock_sleep_for(std::chrono::microseconds(500));
+    arrival_skew(options);
     AtomicityTrigger trigger(kListAtomicity1, &list);
     trigger.trigger_here(/*is_first_action=*/true);
     list.clear();
@@ -197,7 +197,8 @@ namespace {
 
 /// Shared shape of the three crossed-bulk-copy deadlock scenarios.
 template <class Collection, class BulkCopy>
-RunOutcome run_crossed_deadlock(Collection& a, Collection& b, BulkCopy copy) {
+RunOutcome run_crossed_deadlock(const RunOptions& options, Collection& a,
+                                Collection& b, BulkCopy copy) {
   RunOutcome outcome;
   rt::Stopwatch clock;
   std::atomic<bool> stalled{false};
@@ -212,6 +213,7 @@ RunOutcome run_crossed_deadlock(Collection& a, Collection& b, BulkCopy copy) {
   });
   rt::Thread t2([&] {
     gate.wait();
+    arrival_skew(options);  // the mirror copy is an independent request
     try {
       copy(b, a);
     } catch (const rt::StallError&) {
@@ -238,7 +240,7 @@ RunOutcome run_list_deadlock1(const RunOptions& options) {
     a.add(i);
     b.add(100 + i);
   }
-  return run_crossed_deadlock(a, b,
+  return run_crossed_deadlock(options, a, b,
                               [&](SyncList& dst, SyncList& src) {
                                 dst.add_all(src, options.stall_after);
                               });
@@ -259,13 +261,11 @@ RunOutcome run_map_atomicity1(const RunOptions& options) {
   // Both threads run the same put-if-absent compound.  Executed
   // serially, exactly one put happens; only the interleaving where both
   // stale checks pass yields two.
-  auto put_if_absent = [&](int value, std::chrono::microseconds stagger) {
+  auto put_if_absent = [&](int value, bool later) {
     gate.wait();
     // Natural arrivals are skewed (clients do not start in lockstep);
     // the breakpoint's postponement is what bridges the skew.
-    if (stagger.count() > 0) {
-      rt::clock_sleep_for(stagger);
-    }
+    if (later) arrival_skew(options);
     if (!map.contains(kKey)) {
       AtomicityTrigger trigger(kMapAtomicity1, &map);
       trigger.trigger_here(/*is_first_action=*/true);  // symmetric sites
@@ -273,8 +273,8 @@ RunOutcome run_map_atomicity1(const RunOptions& options) {
       puts.fetch_add(1);
     }
   };
-  rt::Thread t1(put_if_absent, 111, std::chrono::microseconds(0));
-  rt::Thread t2(put_if_absent, 222, std::chrono::microseconds(500));
+  rt::Thread t1(put_if_absent, 111, false);
+  rt::Thread t2(put_if_absent, 222, true);
   gate.open();
   t1.join();
   t2.join();
@@ -294,7 +294,7 @@ RunOutcome run_map_deadlock1(const RunOptions& options) {
     a.put(i, i);
     b.put(100 + i, i);
   }
-  return run_crossed_deadlock(a, b,
+  return run_crossed_deadlock(options, a, b,
                               [&](SyncMap& dst, SyncMap& src) {
                                 dst.put_all(src, options.stall_after);
                               });
@@ -314,11 +314,9 @@ RunOutcome run_set_atomicity1(const RunOptions& options) {
   rt::StartGate gate;
   // Both threads run the same add-if-absent compound; serially it is
   // safe, interleaved the second add raises the duplicate violation.
-  auto add_if_absent = [&](std::chrono::microseconds stagger) {
+  auto add_if_absent = [&](bool later) {
     gate.wait();
-    if (stagger.count() > 0) {
-      rt::clock_sleep_for(stagger);
-    }
+    if (later) arrival_skew(options);
     try {
       if (!set.contains(kValue)) {
         AtomicityTrigger trigger(kSetAtomicity1, &set);
@@ -330,8 +328,8 @@ RunOutcome run_set_atomicity1(const RunOptions& options) {
       error = e.what();
     }
   };
-  rt::Thread t1(add_if_absent, std::chrono::microseconds(0));
-  rt::Thread t2(add_if_absent, std::chrono::microseconds(500));
+  rt::Thread t1(add_if_absent, false);
+  rt::Thread t2(add_if_absent, true);
   gate.open();
   t1.join();
   t2.join();
@@ -351,7 +349,7 @@ RunOutcome run_set_deadlock1(const RunOptions& options) {
     a.add(i);
     b.add(100 + i);
   }
-  return run_crossed_deadlock(a, b, [&](SyncSet& dst, SyncSet& src) {
+  return run_crossed_deadlock(options, a, b, [&](SyncSet& dst, SyncSet& src) {
     dst.add_all(src, options.stall_after);
   });
 }

@@ -63,6 +63,7 @@ RunOutcome run_crash(const RunOptions& options) {
 
   rt::Thread terminator([&] {
     gate.wait();
+    arrival_skew(options);  // teardown is requested independently
     // bp1 peer: read the consumer's progress (racily) to decide whether
     // teardown is safe — ordered FIRST so the read is stale.
     ConflictTrigger bp1(kBp1, &slots);

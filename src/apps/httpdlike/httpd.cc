@@ -76,14 +76,15 @@ RunOutcome run_log_corruption(const RunOptions& options) {
   AccessLog log;
   const int requests = std::max(2, static_cast<int>(4 * options.work_scale));
   rt::StartGate gate;
-  auto worker = [&](int base) {
+  auto worker = [&](int base, bool later) {
     gate.wait();
+    if (later) arrival_skew(options);  // clients do not start in lockstep
     for (int i = 0; i < requests; ++i) {
       log.log_request(base + i, options.breakpoints);
     }
   };
-  rt::Thread a(worker, 100);
-  rt::Thread b(worker, 200);
+  rt::Thread a(worker, 100, false);
+  rt::Thread b(worker, 200, true);
   gate.open();
   a.join();
   b.join();
@@ -164,6 +165,7 @@ RunOutcome run_buffer_overflow(const RunOptions& options) {
   });
   rt::Thread w2([&] {
     gate.wait();
+    arrival_skew(options);
     try {
       append(/*is_first=*/false);
     } catch (const rt::SimulatedCrash& e) {

@@ -53,15 +53,16 @@ RunOutcome run_reduction_race(const RunOptions& options,
   volatile double sink = 0.0;
 
   rt::StartGate gate;
-  auto worker = [&](std::uint64_t seed) {
+  auto worker = [&](std::uint64_t seed, bool later) {
     gate.wait();
+    if (later) arrival_skew(options);  // the halves do not run in lockstep
     for (int i = 0; i < iters; ++i) {
       sink = sink + kernel_work(seed + static_cast<std::uint64_t>(i), flops);
       racy_accumulate(accumulator, breakpoint, bound, 1);
     }
   };
-  rt::Thread a(worker, 11);
-  rt::Thread b(worker, 23);
+  rt::Thread a(worker, 11, false);
+  rt::Thread b(worker, 23, true);
   gate.open();
   a.join();
   b.join();
@@ -117,8 +118,9 @@ RunOutcome run_raytracer(const RunOptions& options, const char* breakpoint,
   }
 
   rt::StartGate gate;
-  auto render_half = [&](int row_base) {
+  auto render_half = [&](int row_base, bool later) {
     gate.wait();
+    if (later) arrival_skew(options);
     for (int r = row_base; r < row_base + rows; ++r) {
       std::int64_t row_sum = 0;
       for (int c = 0; c < cols; ++c) row_sum += (r * 31 + c * 7) % 255;
@@ -126,8 +128,8 @@ RunOutcome run_raytracer(const RunOptions& options, const char* breakpoint,
       racy_accumulate(checksum, breakpoint, UINT64_MAX, row_sum);
     }
   };
-  rt::Thread a(render_half, 0);
-  rt::Thread b(render_half, rows);
+  rt::Thread a(render_half, 0, false);
+  rt::Thread b(render_half, rows, true);
   gate.open();
   a.join();
   b.join();

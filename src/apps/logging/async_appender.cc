@@ -168,6 +168,11 @@ RunOutcome run_missed_notify1(const RunOptions& options) {
   m2.first = options.order_forward ? Site::kSetBufferSize : Site::kDispatch;
   m2.second = options.order_forward ? Site::kDispatch : Site::kSetBufferSize;
   m2.pause = options.pause;
+  // Pacing scales with the pause, as the grow's arrival (pause/2) does:
+  // the appender is blocked on a full buffer well before the grow, and
+  // a breakpoint-ordered "dispatch first" leaves the grow a wide margin
+  // to land before the next append even on a loaded multicore host.
+  m2.append_gap = options.pause / 8;
   m2.stall_after = options.stall_after;
   m2.seed = options.seed;
   const MethodologyIIOutcome result = run_methodology2(m2);

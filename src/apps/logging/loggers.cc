@@ -19,7 +19,7 @@ void configure(const RunOptions& options) {
 /// Two threads running the two crossed paths; kStall when either leg
 /// declares the deadlock conditions met.
 template <class Leg1, class Leg2>
-RunOutcome run_two_legs(Leg1 leg1, Leg2 leg2) {
+RunOutcome run_two_legs(const RunOptions& options, Leg1 leg1, Leg2 leg2) {
   RunOutcome outcome;
   rt::Stopwatch clock;
   std::atomic<bool> stalled{false};
@@ -34,6 +34,7 @@ RunOutcome run_two_legs(Leg1 leg1, Leg2 leg2) {
   });
   rt::Thread t2([&] {
     gate.wait();
+    arrival_skew(options);
     try {
       leg2();
     } catch (const rt::StallError&) {
@@ -124,7 +125,7 @@ RunOutcome run_log4j_deadlock1(const RunOptions& options) {
   Log4jHierarchy hierarchy;
   hierarchy.arm_deadlock(true);
   return run_two_legs(
-      [&] { hierarchy.log(1, options.stall_after); },
+      options, [&] { hierarchy.log(1, options.stall_after); },
       [&] { hierarchy.close_appender(options.stall_after); });
 }
 
@@ -160,7 +161,7 @@ RunOutcome run_jul_deadlock1(const RunOptions& options) {
   JulManager manager;
   manager.arm_deadlock(true);
   return run_two_legs(
-      [&] { manager.add_handler(options.stall_after); },
+      options, [&] { manager.add_handler(options.stall_after); },
       [&] { manager.read_configuration(options.stall_after); });
 }
 

@@ -94,6 +94,7 @@ RunOutcome run_log_omission(const RunOptions& options) {
   });
   rt::Thread rotator([&] {
     gate.wait();
+    arrival_skew(options);  // the log fills up well after the commits start
     binlog.rotate(options.breakpoints);
   });
   gate.open();
@@ -123,27 +124,26 @@ RunOutcome run_log_disorder(const RunOptions& options) {
   // order), then appends its commit sequence number to the binlog.  The
   // breakpoint reverses the two appends (#169): the thread that commits
   // FIRST has its binlog append ordered SECOND.
-  auto transaction = [&](bool binlog_append_goes_first,
-                         std::chrono::microseconds stagger) {
+  auto transaction = [&](bool binlog_append_goes_first, bool later) {
     gate.wait();
-    if (stagger.count() > 0) {
-      rt::clock_sleep_for(stagger);
-    }
+    if (later) arrival_skew(options);
     const int seq = commit_order.fetch_add(1);  // storage commit
+    TriggerResult ordered;
     if (options.breakpoints) {
+      // Scoped: the append ordered first holds the guard until it is in
+      // the log, so the reversal survives that thread being descheduled
+      // for longer than the order delay.
       ConflictTrigger bp(kDisorderBp, &binlog);
-      bp.trigger_here(binlog_append_goes_first);
+      ordered = bp.trigger_here_scoped(binlog_append_goes_first);
     }
     (void)binlog.write_event(seq, /*armed=*/false);
   };
   rt::Thread t1([&] {
-    transaction(/*binlog_append_goes_first=*/false,
-                std::chrono::microseconds(0));
+    transaction(/*binlog_append_goes_first=*/false, /*later=*/false);
   });
   rt::Thread t2([&] {
-    // Staggered so t1 reliably commits to storage first...
-    transaction(/*binlog_append_goes_first=*/true,
-                std::chrono::microseconds(200));
+    // Skewed so t1 reliably commits to storage first...
+    transaction(/*binlog_append_goes_first=*/true, /*later=*/true);
     // ...yet t2's binlog append is ordered first by the breakpoint.
   });
   gate.open();
@@ -195,6 +195,7 @@ RunOutcome run_crash(const RunOptions& options) {
   });
   rt::Thread closer([&] {
     gate.wait();
+    arrival_skew(options);  // the client disconnects independently
     ConflictTrigger bp1(kCrashBp1, &thd_valid);
     bp1.trigger_here(/*is_first_action=*/true);
     ConflictTrigger bp2(kCrashBp2, &thd_valid);
@@ -229,6 +230,7 @@ RunOutcome run_group_commit_race(const RunOptions& options) {
   // of the pending counter (ranks 0 and 1 of the 3-ary breakpoint)...
   auto committer = [&](int rank) {
     gate.wait();
+    if (rank == 1) arrival_skew(options);  // independent transactions
     issued.fetch_add(1);
     const int seen = pending.read();
     if (options.breakpoints) {
@@ -241,6 +243,9 @@ RunOutcome run_group_commit_race(const RunOptions& options) {
   // count it observes and zeroes the counter.
   auto leader = [&] {
     gate.wait();
+    // The flush comes after both enrollments.
+    arrival_skew(options);
+    arrival_skew(options);
     if (options.breakpoints) {
       OrderTrigger trigger(kGroupCommitBp);
       (void)trigger.trigger_here_ranked(2, 3, options.pause);

@@ -75,6 +75,7 @@ RunOutcome run_missed_notify1(const RunOptions& options) {
   });
   rt::Thread returner([&] {
     gate.wait();
+    arrival_skew(options);  // the object comes back after the borrow starts
     object_pool.return_object(options.breakpoints);
   });
   gate.open();

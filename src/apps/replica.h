@@ -13,6 +13,7 @@
 
 #include "runtime/clock.h"
 #include "runtime/sim_crash.h"
+#include "runtime/vclock.h"
 
 namespace cbp::apps {
 
@@ -54,6 +55,20 @@ struct RunOptions {
 inline void busy_work(int iterations) {
   volatile int sink = 0;
   for (int i = 0; i < iterations; ++i) sink = sink + i;
+}
+
+/// Holds back the later party of a seeded conflict after the start gate.
+/// In the paper's programs the two sides of a bug (a query and a
+/// connection close, a bulk copy and its mirror) come from independent
+/// events, far apart compared with the bug's window.  A StartGate alone
+/// releases both sides into the window in the same microsecond on a
+/// multicore host, so an unarmed run would hit the bug for the replica's
+/// sake, not the program's.  An eighth of the pause is far wider than any
+/// window here, and a breakpoint postpones its first arrival for the full
+/// pause, so an armed run still aligns the two sides with most of the
+/// pause to spare for scheduling delays.
+inline void arrival_skew(const RunOptions& options) {
+  rt::clock_sleep_for(options.pause / 8);
 }
 
 /// What one run produced.

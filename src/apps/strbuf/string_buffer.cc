@@ -83,6 +83,7 @@ RunOutcome run_atomicity1(const RunOptions& options) {
   });
   rt::Thread truncator([&] {
     gate.wait();
+    arrival_skew(options);
     // A little real work before the truncation, as in the library's
     // normal use; the breakpoint is what creates the overlap.
     for (int i = 0; i < 64; ++i) shared.append('x');

@@ -52,6 +52,7 @@ RunOutcome run_deadlock1(const RunOptions& options) {
   });
   rt::Thread refresher([&] {
     gate.wait();
+    arrival_skew(options);  // a reader refreshes independently of the close
     try {
       index.maybe_refresh(options.stall_after);
     } catch (const rt::StallError&) {

@@ -155,7 +155,7 @@ void SocketClientFactory::count_request() {
 namespace {
 
 template <class Leg1, class Leg2>
-RunOutcome run_two_legs(Leg1 leg1, Leg2 leg2) {
+RunOutcome run_two_legs(const RunOptions& options, Leg1 leg1, Leg2 leg2) {
   RunOutcome outcome;
   rt::Stopwatch clock;
   std::atomic<bool> stalled{false};
@@ -170,6 +170,7 @@ RunOutcome run_two_legs(Leg1 leg1, Leg2 leg2) {
   });
   rt::Thread t2([&] {
     gate.wait();
+    arrival_skew(options);
     try {
       leg2();
     } catch (const rt::StallError&) {
@@ -194,7 +195,7 @@ RunOutcome run_deadlock1(const RunOptions& options) {
   SocketClientFactory factory;
   factory.arm("deadlock1");
   return run_two_legs(
-      [&] { factory.client_connection_finished(options.stall_after); },
+      options, [&] { factory.client_connection_finished(options.stall_after); },
       [&] { factory.kill_clients(options.stall_after); });
 }
 
@@ -202,7 +203,8 @@ RunOutcome run_deadlock2(const RunOptions& options) {
   configure(options);
   SocketClientFactory factory;
   factory.arm("deadlock2");
-  return run_two_legs([&] { factory.reconfigure(options.stall_after); },
+  return run_two_legs(options,
+                      [&] { factory.reconfigure(options.stall_after); },
                       [&] { factory.report_status(options.stall_after); });
 }
 
@@ -223,6 +225,7 @@ RunOutcome run_missed_notify1(const RunOptions& options) {
   });
   rt::Thread notifier([&] {
     gate.wait();
+    arrival_skew(options);  // shutdown comes long after the waiter starts
     shutdown_event.notify(options.breakpoints);
   });
   gate.open();
@@ -254,6 +257,7 @@ RunOutcome run_race1(const RunOptions& options) {
   });
   rt::Thread shutdown([&] {
     gate.wait();
+    arrival_skew(options);
     factory.begin_shutdown();
   });
   gate.open();
@@ -295,9 +299,10 @@ RunOutcome run_server_stress(const RunOptions& options, int clients) {
   }
   rt::Thread admin([&] {
     gate.wait();
+    arrival_skew(options);
     try {
-      // The administrative command arrives mid-run, while clients are
-      // tearing connections down: the factory -> csList path crosses.
+      // The administrative command arrives independently of the
+      // clients' teardowns: the factory -> csList path crosses theirs.
       factory.kill_clients(options.stall_after);
     } catch (const rt::StallError&) {
       stalled = true;

@@ -360,6 +360,120 @@ void Engine::await_turn(internal::GroupState& group, int rank,
                              scaled(settings_.guard_wait_cap()));
 }
 
+namespace {
+
+/// Bound screen, shared by admit() and the under-lock re-checks: counts
+/// the call bounded-out and returns true when the name's hits already
+/// reached the budget — the spec's `bound` when it sets one, else the
+/// trigger object's own.  Only spec-derived budgets publish the
+/// cold-bounded sticky: programmatic bounds may differ between
+/// same-name trigger objects.
+bool bounded_out(const internal::NameRecord& record, const BTrigger& bt,
+                 const SpecOverride* entry) {
+  const bool spec_bound = entry != nullptr && entry->bound;
+  const std::uint64_t bound = spec_bound ? *entry->bound : bt.bound_count();
+  internal::HotCounters& hot = record.slot->hot;
+  if (hot.hits.load(std::memory_order_relaxed) < bound) return false;
+  hot.bounded.add();
+  if (spec_bound) record.cold_bounded.store(entry, std::memory_order_relaxed);
+  return true;
+}
+
+}  // namespace
+
+bool Engine::admit(const internal::NameRecord& record, BTrigger& bt,
+                   const SpecOverride* entry) {
+  // User code: evaluated outside the slot lock (it may be arbitrarily
+  // expensive, though it must not block).
+  internal::HotCounters& hot = record.slot->hot;
+  if (!bt.predicate_local()) {
+    // The production steady state of an armed breakpoint: one RMW on a
+    // cache line no other thread writes.
+    hot.local_rejects.add();
+    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
+    return false;
+  }
+  const std::uint64_t arrival =
+      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
+  // An arrival and its immediate verdict (ignore) describe one instant:
+  // one clock read stamps both (Trace::stamp batching).
+  std::uint64_t obs_stamp = 0;
+  if (CBP_OBS_ENABLED()) {
+    obs_stamp = obs::Trace::stamp();
+    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record.id, -1);
+  }
+  // Cold-spec pre-screen: a previous call in this spec generation saw
+  // the spec's hit budget exhausted and published the sticky, so this
+  // call can skip even the hits load.
+  if (entry != nullptr && entry->bound &&
+      record.cold_bounded.load(std::memory_order_relaxed) == entry) {
+    hot.bounded.add();
+    return false;
+  }
+  if (bounded_out(record, bt, entry)) return false;
+  const std::uint64_t ignore_first = entry != nullptr && entry->ignore_first
+                                         ? *entry->ignore_first
+                                         : bt.ignore_first_count();
+  if (arrival <= ignore_first) {
+    // ignore_first suppresses the arrival entirely (§6.3): it neither
+    // postpones *nor* matches a postponed peer.  This check must come
+    // before any matching — an arrival inside the ignore window used to
+    // be able to complete a match, which made `ignore_first = n` with
+    // an exact arrival counter still hit during the warm-up phase.
+    hot.ignored.add();
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record.id, -1);
+    }
+    return false;
+  }
+  return true;
+}
+
+void Engine::report_hit(const HitInfo& info) {
+  std::function<void(const HitInfo&)> observer;
+  bool verbose = false;
+  {
+    std::scoped_lock lock(observer_mu_);
+    observer = observer_;
+    verbose = verbose_;
+  }
+  if (verbose) {
+    // One formatted string, one stream insertion: concurrent hits used
+    // to interleave their three operands mid-line on stderr.
+    std::string line;
+    line.reserve(info.description.size() + info.name.size() + 32);
+    line += "[cbp] hit: ";
+    line += info.description;
+    line += " (breakpoint '";
+    line += info.name;
+    line += "')\n";
+    std::cerr << line;
+  }
+  if (observer) observer(info);
+}
+
+TriggerResult Engine::finish_hit(internal::Slot& slot,
+                                 std::shared_ptr<internal::GroupState> group,
+                                 int rank, bool scoped) {
+  await_turn(*group, rank, scoped);
+  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, rank);
+
+  {
+    // Ordering latency: group creation (match) to this rank's release.
+    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              rt::clock_now() - group->match_time)
+                              .count();
+    std::scoped_lock lock(slot.mu);
+    slot.cold.order_hist.record(
+        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
+  }
+
+  TriggerResult result;
+  result.hit = true;
+  if (scoped) result.guard = OrderingGuard(std::move(group), rank);
+  return result;
+}
+
 TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
                               std::chrono::microseconds timeout, bool scoped) {
   assert(arity >= 2 && rank >= 0 && rank < arity);
@@ -373,11 +487,9 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
   // parameters: they let a shipped bug report be tuned or flipped
   // without recompiling.  The override lives in the interned record, so
   // this fast path takes no lock and hashes no strings — a spec-disabled
-  // breakpoint costs two dependent atomic loads.
-  std::uint64_t ignore_first = bt.ignore_first_count();
-  std::uint64_t bound = bt.bound_count();
+  // breakpoint costs two dependent atomic loads.  `bound` and
+  // `ignore_first` are applied by admit().
   bool process_group = false;
-  bool spec_bound = false;
   const SpecOverride* entry = record->spec.load(std::memory_order_acquire);
   if (entry != nullptr) {
     if (entry->disabled) return {};
@@ -401,18 +513,12 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
         }
       }
     }
-    if (entry->ignore_first) ignore_first = *entry->ignore_first;
-    if (entry->bound) {
-      bound = *entry->bound;
-      spec_bound = true;
-    }
     process_group = entry->scope == SpecScope::kProcessGroup;
     if (entry->pattern != nullptr) {
       // Pattern breakpoint: the declared rank maps onto the pattern's
       // site index, so existing ranked insertions join the automaton.
       if (rank >= static_cast<int>(entry->pattern->site_count())) return {};
-      return trigger_pattern(*record, bt, *entry, rank, timeout, scoped,
-                             ignore_first, bound, spec_bound);
+      return trigger_pattern(*record, bt, *entry, rank, timeout, scoped);
     }
   }
 
@@ -423,66 +529,17 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
   // matching, as it does when no transport is attached.
   if (process_group && rt::bound_virtual_clock() == nullptr) {
     if (std::shared_ptr<TransportPolicy> remote_transport = transport()) {
-      return trigger_remote(*record, bt, rank, arity, timeout, scoped,
-                            ignore_first, bound, *remote_transport);
+      return trigger_remote(*record, bt, *entry, rank, arity, timeout, scoped,
+                            *remote_transport);
     }
   }
-
-  internal::Slot* slot = record->slot.get();
-
-  // User code: evaluate outside the slot lock (it may be arbitrarily
-  // expensive, though it must not block).
-  const bool local_ok = bt.predicate_local();
 
   // ---- armed fast path: no slot mutex (DESIGN.md §5i) ----------------
-  // The three non-matching outcomes account themselves with relaxed
-  // atomics and return; only a call that may actually rendezvous pays
-  // for the lock.
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record->id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  // An arrival and its immediate verdict (ignore) describe one instant:
-  // one clock read stamps both (Trace::stamp batching).
-  std::uint64_t obs_stamp = 0;
-  if (CBP_OBS_ENABLED()) {
-    obs_stamp = obs::Trace::stamp();
-    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record->id, -1);
-  }
-  // Cold-spec pre-screen: a previous call in this spec generation saw
-  // the spec's hit budget exhausted and published the sticky, so this
-  // call can skip even the hits load.  Only spec-derived bounds stick —
-  // programmatic bounds may differ between same-name trigger objects.
-  if (spec_bound &&
-      record->cold_bounded.load(std::memory_order_relaxed) == entry) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    if (spec_bound) {
-      record->cold_bounded.store(entry, std::memory_order_relaxed);
-    }
-    return {};
-  }
-  if (arrival <= ignore_first) {
-    // ignore_first suppresses the arrival entirely (§6.3): it neither
-    // postpones *nor* matches a postponed peer.  This check must come
-    // before try_match — an arrival inside the ignore window used to
-    // be able to complete a match, which made `ignore_first = n` with
-    // an exact arrival counter still hit during the warm-up phase.
-    hot.ignored.fetch_add(1, std::memory_order_relaxed);
-    if (CBP_OBS_ENABLED()) {
-      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record->id, -1);
-    }
-    return {};
-  }
+  // The three non-matching outcomes account themselves lock-free and
+  // return; only a call that may actually rendezvous pays for the lock.
+  if (!admit(*record, bt, entry)) return {};
 
+  internal::Slot* slot = record->slot.get();
   std::shared_ptr<internal::GroupState> group;
   int my_rank = rank;
   HitInfo info;
@@ -493,13 +550,7 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
     // Exact bound re-check: hits only grows while mu is held, so a call
     // whose lock-free pre-screen read a stale value bounds out here and
     // `bound = n` still means at most n matched groups.
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      if (spec_bound) {
-        record->cold_bounded.store(entry, std::memory_order_relaxed);
-      }
-      return {};
-    }
+    if (bounded_out(*record, bt, entry)) return {};
 
     if (try_match(*slot, bt, rank, arity, scoped, group, my_rank, info)) {
       fire_observer = true;  // last-arriving participant reports the hit
@@ -543,46 +594,8 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
     slot->cold.participants += 1;
   }
 
-  if (fire_observer) {
-    std::function<void(const HitInfo&)> observer;
-    bool verbose = false;
-    {
-      std::scoped_lock lock(observer_mu_);
-      observer = observer_;
-      verbose = verbose_;
-    }
-    if (verbose) {
-      // One formatted string, one stream insertion: concurrent hits used
-      // to interleave their three operands mid-line on stderr.
-      std::string line;
-      line.reserve(info.description.size() + info.name.size() + 32);
-      line += "[cbp] hit: ";
-      line += info.description;
-      line += " (breakpoint '";
-      line += info.name;
-      line += "')\n";
-      std::cerr << line;
-    }
-    if (observer) observer(info);
-  }
-
-  await_turn(*group, my_rank, scoped);
-  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, my_rank);
-
-  {
-    // Ordering latency: group creation (match) to this rank's release.
-    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              rt::clock_now() - group->match_time)
-                              .count();
-    std::scoped_lock lock(slot->mu);
-    slot->cold.order_hist.record(
-        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
-  }
-
-  TriggerResult result;
-  result.hit = true;
-  if (scoped) result.guard = OrderingGuard(group, my_rank);
-  return result;
+  if (fire_observer) report_hit(info);
+  return finish_hit(*slot, std::move(group), my_rank, scoped);
 }
 
 TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
@@ -603,65 +616,18 @@ TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
     timeout =
         std::chrono::duration_cast<std::chrono::microseconds>(*entry->pause);
   }
-  std::uint64_t ignore_first = bt.ignore_first_count();
-  std::uint64_t bound = bt.bound_count();
-  bool spec_bound = false;
-  if (entry->ignore_first) ignore_first = *entry->ignore_first;
-  if (entry->bound) {
-    bound = *entry->bound;
-    spec_bound = true;
-  }
-  return trigger_pattern(*record, bt, *entry, index, timeout, scoped,
-                         ignore_first, bound, spec_bound);
+  return trigger_pattern(*record, bt, *entry, index, timeout, scoped);
 }
 
 TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
                                       BTrigger& bt, const SpecOverride& entry,
                                       int site,
                                       std::chrono::microseconds timeout,
-                                      bool scoped, std::uint64_t ignore_first,
-                                      std::uint64_t bound, bool spec_bound) {
+                                      bool scoped) {
+  // The automaton sits strictly behind the shared admission step.
+  if (!admit(record, bt, &entry)) return {};
+
   internal::Slot* slot = record.slot.get();
-
-  // Same armed-fast-path counter discipline as trigger(): the three
-  // non-matching outcomes account themselves with relaxed atomics and
-  // return before the slot mutex (DESIGN.md §5i) — the automaton sits
-  // strictly behind the existing early-outs.
-  const bool local_ok = bt.predicate_local();
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t obs_stamp = 0;
-  if (CBP_OBS_ENABLED()) {
-    obs_stamp = obs::Trace::stamp();
-    obs::Trace::record_at(obs_stamp, obs::EventKind::kArrival, record.id, -1);
-  }
-  if (spec_bound &&
-      record.cold_bounded.load(std::memory_order_relaxed) == &entry) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    return {};
-  }
-  if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-    hot.bounded.fetch_add(1, std::memory_order_relaxed);
-    if (spec_bound) {
-      record.cold_bounded.store(&entry, std::memory_order_relaxed);
-    }
-    return {};
-  }
-  if (arrival <= ignore_first) {
-    hot.ignored.fetch_add(1, std::memory_order_relaxed);
-    if (CBP_OBS_ENABLED()) {
-      obs::Trace::record_at(obs_stamp, obs::EventKind::kIgnore, record.id, -1);
-    }
-    return {};
-  }
-
   std::shared_ptr<internal::GroupState> group;
   int my_rank = -1;
   HitInfo info;
@@ -670,13 +636,7 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
   {
     std::unique_lock lock(slot->mu);
     // Exact bound re-check, as in trigger().
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      if (spec_bound) {
-        record.cold_bounded.store(&entry, std::memory_order_relaxed);
-      }
-      return {};
-    }
+    if (bounded_out(record, bt, &entry)) return {};
     // (Re)build the matcher when the installed entry changed: new spec
     // generations have new entry addresses, so pointer identity is the
     // epoch — the cold_bounded idiom.
@@ -724,7 +684,7 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
         if (woke_resumed) rt::clock_notify_all(slot->cv);
         return {};
       case PatternMatcher::Outcome::Kind::kHit: {
-        hot.hits.fetch_add(1, std::memory_order_relaxed);
+        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
         group = out.group;
         my_rank = out.rank;
         info = std::move(out.info);
@@ -806,84 +766,29 @@ TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
     }
   }
 
-  if (fire_observer) {
-    std::function<void(const HitInfo&)> observer;
-    bool verbose = false;
-    {
-      std::scoped_lock lock(observer_mu_);
-      observer = observer_;
-      verbose = verbose_;
-    }
-    if (verbose) {
-      std::string line;
-      line.reserve(info.description.size() + info.name.size() + 32);
-      line += "[cbp] hit: ";
-      line += info.description;
-      line += " (breakpoint '";
-      line += info.name;
-      line += "')\n";
-      std::cerr << line;
-    }
-    if (observer) observer(info);
-  }
-
-  await_turn(*group, my_rank, scoped);
-  CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, my_rank);
-
-  {
-    const auto order_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                              rt::clock_now() - group->match_time)
-                              .count();
-    std::scoped_lock lock(slot->mu);
-    slot->cold.order_hist.record(
-        order_us > 0 ? static_cast<std::uint64_t>(order_us) : 0);
-  }
-
-  TriggerResult result;
-  result.hit = true;
-  if (scoped) result.guard = OrderingGuard(group, my_rank);
-  return result;
+  if (fire_observer) report_hit(info);
+  return finish_hit(*slot, std::move(group), my_rank, scoped);
 }
 
 TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
-                                     BTrigger& bt, int rank, int arity,
+                                     BTrigger& bt, const SpecOverride& entry,
+                                     int rank, int arity,
                                      std::chrono::microseconds timeout,
-                                     bool scoped, std::uint64_t ignore_first,
-                                     std::uint64_t bound,
-                                     TransportPolicy& transport) {
-  internal::Slot* slot = record.slot.get();
-
+                                     bool scoped, TransportPolicy& transport) {
   // Local refinements stay in-process (core/transport.h): each process
   // keeps its own warm-up window, hit budget and counters, exactly as if
   // the paper's library were loaded into every process separately.  The
-  // same lock-free counter discipline as the local path (the remote
-  // path is cold — a kernel round-trip follows — but snapshots must see
-  // one coherent set of counters).
-  const bool local_ok = bt.predicate_local();
-  internal::HotCounters& hot = slot->hot;
-  hot.calls.fetch_add(1, std::memory_order_relaxed);
-  if (!local_ok) {
-    hot.local_rejects.fetch_add(1, std::memory_order_relaxed);
-    CBP_OBS_EVENT(obs::EventKind::kLocalReject, record.id, -1);
-    return {};
-  }
-  const std::uint64_t arrival =
-      hot.arrivals.fetch_add(1, std::memory_order_relaxed) + 1;
-  CBP_OBS_EVENT(obs::EventKind::kArrival, record.id, -1);
+  // admission step is the local path's, lock-free; there is no under-lock
+  // bound re-check because a remote hit is only counted after the
+  // transport returns, so no lock held here could make the budget exact.
+  if (!admit(record, bt, &entry)) return {};
+
+  internal::Slot* slot = record.slot.get();
   {
     std::scoped_lock lock(slot->mu);
-    if (hot.hits.load(std::memory_order_relaxed) >= bound) {
-      hot.bounded.fetch_add(1, std::memory_order_relaxed);
-      return {};
-    }
-    if (arrival <= ignore_first) {
-      hot.ignored.fetch_add(1, std::memory_order_relaxed);
-      CBP_OBS_EVENT(obs::EventKind::kIgnore, record.id, -1);
-      return {};
-    }
     slot->cold.postponed += 1;
-    CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
   }
+  CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
 
   RemoteTriggerRequest request;
   request.name = record.name;
@@ -922,7 +827,7 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
         // Per-process view: `hits` counts groups this process joined —
         // the value `bound` compares against, so the budget is spent by
         // participation, not by cluster-wide totals.
-        hot.hits.fetch_add(1, std::memory_order_relaxed);
+        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
         slot->cold.participants += 1;
         if (CBP_OBS_ENABLED()) {
           obs::Trace::record_for(rt::this_thread_id(), obs::EventKind::kMatch,
@@ -945,24 +850,7 @@ TriggerResult Engine::trigger_remote(const internal::NameRecord& record,
   if (remote.rank >= 0 && remote.rank < arity) {
     info.threads[static_cast<std::size_t>(remote.rank)] = rt::this_thread_id();
   }
-  std::function<void(const HitInfo&)> observer;
-  bool verbose = false;
-  {
-    std::scoped_lock lock(observer_mu_);
-    observer = observer_;
-    verbose = verbose_;
-  }
-  if (verbose) {
-    std::string line;
-    line.reserve(info.description.size() + info.name.size() + 32);
-    line += "[cbp] hit: ";
-    line += info.description;
-    line += " (breakpoint '";
-    line += info.name;
-    line += "')\n";
-    std::cerr << line;
-  }
-  if (observer) observer(info);
+  report_hit(info);
 
   CBP_OBS_EVENT(obs::EventKind::kRelease, record.id, remote.rank);
 
@@ -991,11 +879,12 @@ BreakpointStats snapshot_slot(const internal::Slot& slot) {
     std::scoped_lock lock(slot.mu);
     out = slot.cold;
   }
-  out.calls = slot.hot.calls.load(std::memory_order_relaxed);
-  out.local_rejects = slot.hot.local_rejects.load(std::memory_order_relaxed);
+  out.local_rejects = slot.hot.local_rejects.load();
   out.arrivals = slot.hot.arrivals.load(std::memory_order_relaxed);
-  out.ignored = slot.hot.ignored.load(std::memory_order_relaxed);
-  out.bounded = slot.hot.bounded.load(std::memory_order_relaxed);
+  // Every call is a local reject or an arrival (HotCounters).
+  out.calls = out.local_rejects + out.arrivals;
+  out.ignored = slot.hot.ignored.load();
+  out.bounded = slot.hot.bounded.load();
   out.hits = slot.hot.hits.load(std::memory_order_relaxed);
   return out;
 }
@@ -1028,7 +917,9 @@ std::vector<std::string> Engine::names() const {
   // "seen" means the engine actually counted a call for it.
   std::vector<std::string> out;
   for (const internal::NameRecord* record : records_snapshot()) {
-    if (record->slot->hot.calls.load(std::memory_order_relaxed) > 0) {
+    const internal::HotCounters& hot = record->slot->hot;
+    if (hot.arrivals.load(std::memory_order_relaxed) > 0 ||
+        hot.local_rejects.load() > 0) {
       out.push_back(record->name);
     }
   }
@@ -1064,11 +955,10 @@ void Engine::reset() {
     // point into are about to be freed.
     slot->matcher.reset();
     slot->matcher_entry = nullptr;
-    slot->hot.calls.store(0, std::memory_order_relaxed);
-    slot->hot.local_rejects.store(0, std::memory_order_relaxed);
+    slot->hot.local_rejects.reset();
+    slot->hot.ignored.reset();
+    slot->hot.bounded.reset();
     slot->hot.arrivals.store(0, std::memory_order_relaxed);
-    slot->hot.ignored.store(0, std::memory_order_relaxed);
-    slot->hot.bounded.store(0, std::memory_order_relaxed);
     slot->hot.hits.store(0, std::memory_order_relaxed);
   }
   // Spec generations retired before the current one can only be freed

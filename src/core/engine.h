@@ -20,8 +20,10 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,42 +53,84 @@ namespace internal {
 // thread — live in core/pattern.h now: the PatternMatcher owns the
 // matching machinery and the engine is its caller.
 
-/// Armed-fast-path counters (DESIGN.md §5i).  Every counter a trigger
-/// call can bump *without* rendezvousing lives here as a relaxed atomic,
-/// so the three non-matching outcomes — local reject, bounded-out,
-/// ignore-window — return without touching the slot mutex:
+/// Cells per striped tally.  A compile-time constant, not a knob: it
+/// only has to exceed the number of threads that hammer one name at
+/// once on common hosts; threads beyond it share cells (contention, not
+/// miscounting).
+inline constexpr std::size_t kCounterStripes = 16;
+
+/// A relaxed tally split into cache-line-aligned cells, one picked per
+/// thread by `rt::this_thread_id() % kCounterStripes`.  An add is one
+/// RMW on a line no other thread writes; a read sums the cells.  Each
+/// cell only grows between resets, so successive reads by one thread
+/// never decrease.
+class StripedCounter {
+ public:
+  void add() noexcept {
+    cells_[rt::this_thread_id() % kCounterStripes].n.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t load() const noexcept {
+    std::uint64_t sum = 0;
+    for (const Cell& cell : cells_) {
+      sum += cell.n.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void reset() noexcept {
+    for (Cell& cell : cells_) cell.n.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::array<Cell, kCounterStripes> cells_{};
+};
+
+/// Armed-fast-path counters (DESIGN.md §5i), all bumped by
+/// Engine::admit() without the slot mutex, so the three non-matching
+/// outcomes — local reject, bounded-out, ignore-window — return lock-free.
+/// One rule decides their layout:
 ///
-///   * `arrivals` doubles as the ignore_first window: fetch_add hands
-///     each passing arrival a unique index, so exactly the first
-///     `ignore_first` arrivals are ignored, same as the old under-lock
-///     counter;
-///   * `hits` is only ever *incremented* under the slot mutex (match
-///     exclusivity needs it), but is *read* lock-free by the bound
-///     pre-screen; trigger() re-checks it under the mutex before
-///     matching, so `bound` stays exact — the lock-free read can only
-///     send a call to the slow path spuriously, never let an over-budget
-///     call match.
+///   * pure tallies — `local_rejects`, `bounded`, `ignored` — are
+///     striped: nothing reads them on the trigger path, so every thread
+///     counts into its own cache line, and an armed local reject (the
+///     production steady state) does one uncontended RMW;
+///   * counters that drive a decision stay single atomics: `arrivals`
+///     doubles as the ignore_first window (fetch_add hands each passing
+///     arrival a unique index, so exactly the first `ignore_first`
+///     arrivals are ignored), and `hits` is the bound.  `hits` is only
+///     *incremented* under the slot mutex (match exclusivity needs it)
+///     but *read* lock-free by the bound screen; trigger() and
+///     trigger_pattern() re-check it under the mutex before matching, so
+///     `bound` stays exact — the lock-free read can only send a call to
+///     the slow path spuriously, never let an over-budget call match;
+///   * `calls` is not stored: every call is either a local reject or an
+///     arrival, so snapshots derive it as `local_rejects + arrivals`.
+///     The equality therefore holds in every snapshot, live ones
+///     included, and a local reject skips a second shared RMW.
 ///
 /// Snapshots (Engine::stats et al.) merge these with the mutex-guarded
-/// slow-path counters into a plain BreakpointStats; a snapshot taken
-/// while triggers are in flight may catch a call between its calls++ and
-/// its outcome counter — quiescent reads (the documented stats contract)
-/// are exact.
+/// slow-path counters into a plain BreakpointStats.  A snapshot taken
+/// while triggers are in flight may catch an arrival before its outcome
+/// counter; quiescent reads (the documented stats contract) are exact.
 struct HotCounters {
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<std::uint64_t> local_rejects{0};
+  StripedCounter local_rejects;
+  StripedCounter ignored;
+  StripedCounter bounded;
   std::atomic<std::uint64_t> arrivals{0};
-  std::atomic<std::uint64_t> ignored{0};
-  std::atomic<std::uint64_t> bounded{0};
   std::atomic<std::uint64_t> hits{0};  ///< written under mu, read lock-free
 };
 
 /// Per-breakpoint-name rendezvous state.  The mutex is per-name: two
 /// distinct breakpoints never contend on it.  Counters the fast path
-/// bumps live in `hot`; `cold` keeps only the slow-path fields
+/// bumps live in `hot` (striped tallies on their own cache lines, so a
+/// local reject writes only its thread's stripe, never the mutex's
+/// line); `cold` keeps only the slow-path fields
 /// (postponed/timeouts/cancelled/participants/peer_lost/waits/
 /// histograms — its fast-path fields stay zero and are overwritten from
-/// `hot` when a snapshot is taken).
+/// `hot`, with `calls` derived, when a snapshot is taken).
 struct Slot {
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -296,29 +340,47 @@ class Engine {
                  bool scoped, std::shared_ptr<internal::GroupState>& group,
                  int& out_rank, HitInfo& info);
 
+  /// The admission step every trigger path starts with, lock-free
+  /// (DESIGN.md §5i): local predicate → local reject, else arrival →
+  /// cold-bounded sticky → bound screen → ignore window.  Returns true
+  /// when the call may go on to match; otherwise the outcome is already
+  /// counted.  `entry` is the active spec entry or null; its `bound` and
+  /// `ignore_first` override the trigger's own.
+  static bool admit(const internal::NameRecord& record, BTrigger& bt,
+                    const SpecOverride* entry);
+
+  /// Reports a hit to the observer and, when verbose, to stderr.
+  /// Called with no locks held.
+  void report_hit(const HitInfo& info);
+
+  /// The in-process hit tail shared by trigger() and trigger_pattern():
+  /// ordered release, the order-latency histogram, and the result (with
+  /// a guard when scoped).  Called with no locks held.
+  TriggerResult finish_hit(internal::Slot& slot,
+                           std::shared_ptr<internal::GroupState> group,
+                           int rank, bool scoped);
+
   /// Thin adapter over PatternMatcher::await_turn that applies this
   /// engine's time scale to the order delay and guard cap.  Called with
   /// no locks held.
   void await_turn(internal::GroupState& group, int rank, bool scoped) const;
 
-  /// The pattern slow path: counter discipline identical to trigger()'s
-  /// (calls/local_rejects/arrivals/ignored/bounded are the same hot
-  /// counters), then a matcher dispatch under the slot mutex.  `entry`
-  /// must carry a pattern; `site` is its index in the compiled spec.
+  /// The pattern slow path: admit(), then a matcher dispatch under the
+  /// slot mutex.  `entry` must carry a pattern; `site` is its index in
+  /// the compiled spec.
   TriggerResult trigger_pattern(const internal::NameRecord& record,
                                 BTrigger& bt, const SpecOverride& entry,
                                 int site, std::chrono::microseconds timeout,
-                                bool scoped, std::uint64_t ignore_first,
-                                std::uint64_t bound, bool spec_bound);
+                                bool scoped);
 
-  /// Process-group dispatch: the whole postponement/match/release
-  /// protocol runs through `transport` (the broker), with the local
-  /// refinements already applied by trigger().  Called with no locks
-  /// held; does its own stats accounting on `record`'s slot.
+  /// Process-group dispatch: admit() in-process, then the whole
+  /// postponement/match/release protocol runs through `transport` (the
+  /// broker).  Called with no locks held; does its own stats accounting
+  /// on `record`'s slot.
   TriggerResult trigger_remote(const internal::NameRecord& record,
-                               BTrigger& bt, int rank, int arity,
+                               BTrigger& bt, const SpecOverride& entry,
+                               int rank, int arity,
                                std::chrono::microseconds timeout, bool scoped,
-                               std::uint64_t ignore_first, std::uint64_t bound,
                                TransportPolicy& transport);
 
   // ---- interned name table -------------------------------------------

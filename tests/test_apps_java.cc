@@ -57,7 +57,9 @@ class JavaReplicaTest : public ::testing::Test {
   }
 
   /// Asserts the bug stays dormant without breakpoints (all runs clean —
-  /// these windows are sub-microsecond naturally).
+  /// the windows are sub-microsecond and the replicas' later party
+  /// arrives an eighth of the pause late, as in the original programs;
+  /// see apps::arrival_skew).
   template <class Runner>
   void expect_dormant(Runner runner, int runs = 4) {
     RunOptions plain = options_;
@@ -163,7 +165,10 @@ TEST_F(JavaReplicaTest, CacheAtomicityManifestsWithIgnoreFirst) {
 
 TEST_F(JavaReplicaTest, CacheIgnoreFirstCutsWarmupCost) {
   // §6.3: without ignoreFirst every warm-up construction pauses for T.
-  options_.pause = 5ms;  // keep the unrefined run affordable
+  // Short enough to keep the unrefined run affordable, long enough that
+  // the reader reaches the published object within one pause on a loaded
+  // multicore host (at 5ms the race phase sometimes timed out unmatched).
+  options_.pause = 20ms;
   const RunOutcome refined =
       cache::run_atomicity1(options_, cache::kWarmupConstructions);
   const RunOutcome unrefined = cache::run_atomicity1(options_, 0);
@@ -352,6 +357,12 @@ TEST_F(JavaReplicaTest, SpecFlipReversesMethodologyOrderWithoutRecompiling) {
   m2.second = logging::Site::kDispatch;
   m2.pause = 200ms;
   m2.stall_after = 1000ms;
+  // The flipped verdict needs the grow to land before the woken
+  // appender's next append, one append_gap later; at the default 15ms
+  // (3ms real) a descheduled config thread on a loaded multicore host
+  // occasionally missed that.  30ms still has the appender blocked on a
+  // full buffer well before the grow arrives at pause/2.
+  m2.append_gap = 30ms;
 
   Engine::instance().reset();
   EXPECT_TRUE(logging::run_methodology2(m2).stalled);

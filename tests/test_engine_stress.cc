@@ -1,15 +1,24 @@
 // Concurrency stress test for the interned-name engine fast paths.
 //
 // Many threads hammer many distinct breakpoint names with a mix of
-// outcomes — spec-disabled, local-reject, bound-suppressed, postponed
-// timeout, and matched pairs — all concurrently.  Because every counter
-// update still happens under the per-name slot mutex, the totals must be
-// EXACT, not approximate: this pins down that the lock-free interning
-// and spec fast paths lose no events and double-count nothing.
+// outcomes — spec-disabled, local-reject, bound-suppressed, ignored,
+// postponed timeout, and matched pairs — all concurrently.  The
+// admission counters are lock-free (striped tallies plus single
+// decision atomics, engine.h HotCounters), yet the totals must be
+// EXACT, not approximate: this pins down that the lock-free interning,
+// spec and admission fast paths lose no events and double-count
+// nothing, on the rendezvous, pattern and process-group paths alike.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,6 +44,20 @@ std::string name_for(const char* category, int index) {
   return os.str();
 }
 
+/// Process-group transport that never matches: it only counts how often
+/// the engine got past admission and asked it to park a call.
+class StubTransport : public TransportPolicy {
+ public:
+  RemoteTriggerResult trigger_remote(const RemoteTriggerRequest&) override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    RemoteTriggerResult result;
+    result.outcome = RemoteOutcome::kTimeout;
+    return result;
+  }
+
+  std::atomic<std::uint64_t> calls{0};
+};
+
 class EngineStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,6 +69,7 @@ class EngineStressTest : public ::testing::Test {
   }
 
   void TearDown() override {
+    Engine::instance().set_transport(nullptr);
     BreakpointSpec::clear_installed();
     Engine::instance().reset();
     Config::set_enabled(true);
@@ -211,6 +235,261 @@ TEST_F(EngineStressTest, ConcurrentInterningIsRaceFreeAndStable) {
   }
   EXPECT_EQ(Engine::instance().names().size(),
             static_cast<std::size_t>(kNames));
+}
+
+// ---- striped admission counters ---------------------------------------
+
+// More threads than stripes, so several threads share every cell.
+constexpr int kStripedThreads = 32;
+static_assert(kStripedThreads > static_cast<int>(internal::kCounterStripes),
+              "stripes must be shared for the exactness check to bite");
+constexpr std::uint64_t kRoundOneIters = 60;
+constexpr std::uint64_t kRoundTwoIters = 25;
+constexpr std::uint64_t kIgnoreWindow = kStripedThreads * kRoundOneIters;
+
+/// The three trigger paths, each with one name per non-matching outcome.
+constexpr const char* kPaths[] = {"rdv", "pat", "remote"};
+constexpr const char* kOutcomes[] = {"reject", "bound", "ignore"};
+
+std::string striped_name(const char* path, const char* outcome) {
+  return std::string("striped-") + path + '-' + outcome;
+}
+
+/// One thread's share of a round: `iters` calls of every outcome on every
+/// path.  Local rejects come from a predicate that always fails; the
+/// bound and ignore names are screened by their spec entries.
+void issue_striped_round(std::uint64_t iters) {
+  const auto never = [] { return false; };
+  const auto any = [](const BTrigger&) { return true; };
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    PredicateTrigger rdv_reject(striped_name("rdv", "reject"), never, any);
+    EXPECT_FALSE(rdv_reject.trigger_here(true, 0ms));
+    OrderTrigger rdv_bound(striped_name("rdv", "bound"));
+    EXPECT_FALSE(rdv_bound.trigger_here(true, 0ms));
+    OrderTrigger rdv_ignore(striped_name("rdv", "ignore"));
+    EXPECT_FALSE(rdv_ignore.trigger_here(true, 0ms));
+
+    PredicateTrigger pat_reject(striped_name("pat", "reject"), never, any);
+    EXPECT_FALSE(pat_reject.trigger_here_site("a", 0ms).hit);
+    OrderTrigger pat_bound(striped_name("pat", "bound"));
+    EXPECT_FALSE(pat_bound.trigger_here_site("a", 0ms).hit);
+    OrderTrigger pat_ignore(striped_name("pat", "ignore"));
+    EXPECT_FALSE(pat_ignore.trigger_here_site("a", 0ms).hit);
+
+    PredicateTrigger remote_reject(striped_name("remote", "reject"), never,
+                                   any);
+    EXPECT_FALSE(remote_reject.trigger_here(true, 0ms));
+    OrderTrigger remote_bound(striped_name("remote", "bound"));
+    EXPECT_FALSE(remote_bound.trigger_here(false, 0ms));
+    OrderTrigger remote_ignore(striped_name("remote", "ignore"));
+    EXPECT_FALSE(remote_ignore.trigger_here(false, 0ms));
+  }
+}
+
+void run_striped_round(std::uint64_t iters) {
+  std::latch start(kStripedThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kStripedThreads);
+  for (int t = 0; t < kStripedThreads; ++t) {
+    threads.emplace_back([&start, iters] {
+      start.arrive_and_wait();  // all threads contend at once
+      issue_striped_round(iters);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+void expect_striped_counts(std::uint64_t iters) {
+  const std::uint64_t n = kStripedThreads * iters;
+  for (const char* path : kPaths) {
+    const BreakpointStats reject =
+        Engine::instance().stats(striped_name(path, "reject"));
+    EXPECT_EQ(reject.local_rejects, n) << path;
+    EXPECT_EQ(reject.arrivals, 0u) << path;
+
+    const BreakpointStats bounded =
+        Engine::instance().stats(striped_name(path, "bound"));
+    EXPECT_EQ(bounded.arrivals, n) << path;
+    EXPECT_EQ(bounded.bounded, n) << path;
+    EXPECT_EQ(bounded.ignored, 0u) << path;
+
+    const BreakpointStats ignored =
+        Engine::instance().stats(striped_name(path, "ignore"));
+    EXPECT_EQ(ignored.arrivals, n) << path;
+    EXPECT_EQ(ignored.ignored, n) << path;
+    EXPECT_EQ(ignored.bounded, 0u) << path;
+
+    for (const BreakpointStats& s : {reject, bounded, ignored}) {
+      EXPECT_EQ(s.calls, n) << path;
+      EXPECT_EQ(s.calls, s.local_rejects + s.arrivals) << path;
+      EXPECT_EQ(s.postponed, 0u) << path;
+      EXPECT_EQ(s.hits, 0u) << path;
+    }
+  }
+}
+
+// Every non-matching outcome on every trigger path counts exactly, with
+// stripes shared between threads, and reset() zeroes every stripe.
+TEST_F(EngineStressTest, StripedCountersStayExact) {
+  std::ostringstream spec;
+  spec << striped_name("rdv", "bound") << " bound=0\n"
+       << striped_name("rdv", "ignore") << " ignore_first=" << kIgnoreWindow
+       << "\n"
+       << striped_name("pat", "reject") << " pattern=a.b\n"
+       << striped_name("pat", "bound") << " pattern=a.b bound=0\n"
+       << striped_name("pat", "ignore") << " pattern=a.b ignore_first="
+       << kIgnoreWindow << "\n"
+       << striped_name("remote", "reject") << " scope=process-group\n"
+       << striped_name("remote", "bound") << " scope=process-group bound=0\n"
+       << striped_name("remote", "ignore")
+       << " scope=process-group ignore_first=" << kIgnoreWindow << "\n";
+  BreakpointSpec::parse(spec.str()).install();
+  auto transport = std::make_shared<StubTransport>();
+  Engine::instance().set_transport(transport);
+
+  run_striped_round(kRoundOneIters);
+  expect_striped_counts(kRoundOneIters);
+  // Admission screened every call; none reached the transport.
+  EXPECT_EQ(transport->calls.load(), 0u);
+  // A name that only ever rejected locally was still seen.
+  const std::vector<std::string> seen = Engine::instance().names();
+  for (const char* path : kPaths) {
+    EXPECT_NE(std::find(seen.begin(), seen.end(),
+                        striped_name(path, "reject")),
+              seen.end())
+        << path;
+  }
+
+  Engine::instance().reset();
+  for (const char* path : kPaths) {
+    for (const char* outcome : kOutcomes) {
+      const BreakpointStats s =
+          Engine::instance().stats(striped_name(path, outcome));
+      EXPECT_EQ(s.calls, 0u) << path << ' ' << outcome;
+      EXPECT_EQ(s.local_rejects + s.bounded + s.ignored, 0u)
+          << path << ' ' << outcome;
+    }
+  }
+  // The stripe sums cover every cell, whichever threads touch them, so a
+  // cell the reset missed would show up in the second round's totals.
+  run_striped_round(kRoundTwoIters);
+  expect_striped_counts(kRoundTwoIters);
+  EXPECT_EQ(transport->calls.load(), 0u);
+}
+
+// A snapshot taken while threads are mid-call still satisfies
+// calls == local_rejects + arrivals (calls is derived), and no counter
+// ever moves backwards between successive snapshots.
+TEST_F(EngineStressTest, LiveSnapshotsStayConsistentAndMonotonic) {
+  constexpr int kLiveThreads = 8;
+  constexpr std::uint64_t kLiveIters = 20000;
+  constexpr std::uint64_t kMinSnapshots = 200;
+  BreakpointSpec::parse("live-mix bound=0\n").install();
+
+  // Workers keep calling until both they have done kLiveIters calls and
+  // the snapshot loop below has seen them in flight kMinSnapshots times.
+  std::atomic<bool> stop{false};
+  std::atomic<int> running{kLiveThreads};
+  std::vector<std::uint64_t> issued(kLiveThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kLiveThreads);
+  for (int t = 0; t < kLiveThreads; ++t) {
+    threads.emplace_back([&stop, &running, &n = issued[t]] {
+      // Three in four calls reject locally; the rest arrive and bound out.
+      PredicateTrigger bt(
+          "live-mix", [&n] { return n % 4 == 0; },
+          [](const BTrigger&) { return true; });
+      for (; n < kLiveIters || !stop.load(); ++n) bt.trigger_here(true, 0ms);
+      running.fetch_sub(1);
+    });
+  }
+
+  BreakpointStats prev;
+  std::uint64_t snapshots = 0;
+  std::uint64_t unequal = 0;
+  std::uint64_t decreased = 0;
+  while (running.load() > 0) {
+    const BreakpointStats s = Engine::instance().stats("live-mix");
+    if (s.calls != s.local_rejects + s.arrivals) ++unequal;
+    if (s.calls < prev.calls || s.local_rejects < prev.local_rejects ||
+        s.arrivals < prev.arrivals || s.bounded < prev.bounded) {
+      ++decreased;
+    }
+    prev = s;
+    if (++snapshots == kMinSnapshots) stop.store(true);
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_GE(snapshots, kMinSnapshots);
+  EXPECT_EQ(unequal, 0u) << "of " << snapshots << " live snapshots";
+  EXPECT_EQ(decreased, 0u) << "of " << snapshots << " live snapshots";
+  std::uint64_t total = 0;
+  std::uint64_t arrivals = 0;
+  for (const std::uint64_t n : issued) {
+    total += n;
+    arrivals += (n + 3) / 4;  // calls 0, 4, 8, ... pass the predicate
+  }
+  const BreakpointStats done = Engine::instance().stats("live-mix");
+  EXPECT_EQ(done.calls, total);
+  EXPECT_EQ(done.arrivals, arrivals);
+  EXPECT_EQ(done.bounded, arrivals);
+  EXPECT_EQ(done.local_rejects, total - arrivals);
+}
+
+// Process-group names bound out and ignore through the same lock-free
+// admission as local names: with every slot mutex held by this thread,
+// the calls still complete, and both paths count identically.
+TEST_F(EngineStressTest, RemoteAdmissionScreensWithoutTheSlotMutex) {
+  constexpr std::uint64_t kCalls = 64;
+  std::ostringstream spec;
+  spec << "admit-local-bound bound=0\n"
+       << "admit-local-ignore ignore_first=" << kCalls << "\n"
+       << "admit-remote-bound scope=process-group bound=0\n"
+       << "admit-remote-ignore scope=process-group ignore_first=" << kCalls
+       << "\n";
+  BreakpointSpec::parse(spec.str()).install();
+  auto transport = std::make_shared<StubTransport>();
+  Engine& engine = Engine::instance();
+  engine.set_transport(transport);
+
+  const std::vector<std::string> names = {
+      "admit-local-bound", "admit-local-ignore", "admit-remote-bound",
+      "admit-remote-ignore"};
+  std::vector<std::unique_lock<std::mutex>> held;
+  for (const std::string& name : names) {
+    held.emplace_back(engine.intern(name)->slot->mu);
+  }
+  auto screened = std::async(std::launch::async, [&names] {
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      for (const std::string& name : names) {
+        OrderTrigger bt(name);
+        EXPECT_FALSE(bt.trigger_here(true, 0ms)) << name;
+      }
+    }
+  });
+  const bool finished =
+      screened.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  held.clear();  // unblock a call that did take a slot mutex
+  screened.get();
+  EXPECT_TRUE(finished) << "a bounded or ignored call locked its slot mutex";
+  EXPECT_EQ(transport->calls.load(), 0u);
+
+  for (const char* outcome : {"bound", "ignore"}) {
+    const BreakpointStats local =
+        engine.stats(std::string("admit-local-") + outcome);
+    const BreakpointStats remote =
+        engine.stats(std::string("admit-remote-") + outcome);
+    EXPECT_EQ(remote.calls, kCalls) << outcome;
+    EXPECT_EQ(remote.arrivals, kCalls) << outcome;
+    EXPECT_EQ(remote.bounded + remote.ignored, kCalls) << outcome;
+    EXPECT_EQ(remote.calls, local.calls) << outcome;
+    EXPECT_EQ(remote.arrivals, local.arrivals) << outcome;
+    EXPECT_EQ(remote.local_rejects, local.local_rejects) << outcome;
+    EXPECT_EQ(remote.bounded, local.bounded) << outcome;
+    EXPECT_EQ(remote.ignored, local.ignored) << outcome;
+    EXPECT_EQ(remote.postponed, local.postponed) << outcome;
+    EXPECT_EQ(remote.postponed, 0u) << outcome;
+  }
 }
 
 }  // namespace

@@ -133,6 +133,9 @@ TEST(Explore, FindsTheLostUpdateScheduleByReplaying) {
   auto run_under_trace = [&](const Trace& trace) {
     instr::SharedVar<int> balance{0};
     replay::Replayer replayer(trace);
+    // Gates fire before their accesses: the step delay makes the gate
+    // order the execution order on a multicore host.
+    replayer.set_step_delay(std::chrono::microseconds(1000));
     instr::ScopedListener registration(replayer);
     rt::StartGate gate;
     auto deposit = [&](int role) {

@@ -396,21 +396,27 @@ TEST(ActiveSession, FindsAndConfirmsRaceDeadlockAndAtomicity) {
     w1.join();
     w2.join();
     // Deadlock: crossed acquisition order (threads tolerate the
-    // confirmer's escape).
-    std::thread d1([&] {
-      try {
-        TrackedLock outer(lock_a);
-        TrackedLock inner(lock_b);
-      } catch (const DeadlockConfirmedError&) {
+    // confirmer's escape).  On a multicore host the unconfirmed runs can
+    // really take both outer locks at once, so the inner acquisition
+    // gives up after a stall and the pair retries, d2 backing off so d1
+    // wins the next round — the crossing stays, the hang does not.
+    auto crossed = [](TrackedMutex& outer_mu, TrackedMutex& inner_mu,
+                      std::chrono::milliseconds backoff) {
+      for (;;) {
+        try {
+          TrackedLock outer(outer_mu);
+          inner_mu.lock_or_stall(50ms);
+          inner_mu.unlock();
+          return;
+        } catch (const DeadlockConfirmedError&) {
+          return;
+        } catch (const rt::StallError&) {
+          std::this_thread::sleep_for(backoff);
+        }
       }
-    });
-    std::thread d2([&] {
-      try {
-        TrackedLock outer(lock_b);
-        TrackedLock inner(lock_a);
-      } catch (const DeadlockConfirmedError&) {
-      }
-    });
+    };
+    std::thread d1([&] { crossed(lock_a, lock_b, 0ms); });
+    std::thread d2([&] { crossed(lock_b, lock_a, 5ms); });
     d1.join();
     d2.join();
     // Atomicity: a read-modify-write block vs a plain write.

@@ -260,10 +260,13 @@ TEST(Replayer, ReplaysARecordedLostUpdate) {
   }
 
   // Phase 2: replay the trace with breakpoints OFF — the lost update
-  // reproduces from the schedule alone, every time.
+  // reproduces from the schedule alone, every time.  Each gate fires
+  // before its access, so a step delay keeps a thread that passed its
+  // read gate from loading only after the peer's write (multicore).
   Config::set_enabled(false);
   for (int round = 0; round < 3; ++round) {
     Replayer replayer(buggy_trace);
+    replayer.set_step_delay(std::chrono::microseconds(1000));
     ScopedListener registration(replayer);
     SharedVar<int> balance{0};
     rt::StartGate gate;

@@ -281,9 +281,11 @@ TEST_F(SaGoldenTest, AppsCandidateSpecRoundTripsThroughEngine) {
 //   build/tools/cbp-sa --list src/apps/<app> > tests/golden/<app>.list
 // ---------------------------------------------------------------------------
 
+// Strings, not `const char*`: gtest prints a pointer parameter with its
+// address, which would put a per-run (ASLR) value into the test's name.
 class SaGoldenListTest : public SaGoldenTest,
                          public ::testing::WithParamInterface<
-                             std::pair<const char*, const char*>> {};
+                             std::pair<std::string, std::string>> {};
 
 TEST_P(SaGoldenListTest, ListMatchesGolden) {
   const auto [golden_name, app_dir] = GetParam();
@@ -332,11 +334,11 @@ TEST_F(SaGoldenTest, InterprocFixtureListMatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(
     Apps, SaGoldenListTest,
     ::testing::Values(
-        std::make_pair("cache", "src/apps/cache"),
-        std::make_pair("jigsaw", "src/apps/webserver"),
-        std::make_pair("logging", "src/apps/logging")),
-    [](const ::testing::TestParamInfo<SaGoldenListTest::ParamType>& info) {
-      return std::string(info.param.first);
+        SaGoldenListTest::ParamType{"cache", "src/apps/cache"},
+        SaGoldenListTest::ParamType{"jigsaw", "src/apps/webserver"},
+        SaGoldenListTest::ParamType{"logging", "src/apps/logging"}),
+    [](const ::testing::TestParamInfo<SaGoldenListTest::ParamType>& param) {
+      return param.param.first;
     });
 
 }  // namespace

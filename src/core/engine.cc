@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <iostream>
 
 #include "core/config.h"
@@ -309,56 +308,8 @@ std::vector<const internal::NameRecord*> Engine::records_snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// Engine: rendezvous
+// Engine: the trigger path
 // ---------------------------------------------------------------------------
-
-bool Engine::try_match(internal::Slot& slot, BTrigger& bt, int rank, int arity,
-                       bool scoped, std::shared_ptr<internal::GroupState>& group,
-                       int& out_rank, HitInfo& info) {
-  const rt::ThreadId my_tid = rt::this_thread_id();
-
-  // The selection algorithm lives in core/pattern.cc now (the classic
-  // rendezvous is the degenerate single-step pattern); this adapter
-  // keeps the slot-side effects: the hits counter, the per-rank obs
-  // events, and the wake-up.
-  std::vector<internal::Waiter*> chosen;  // one per needed rank
-  if (!PatternMatcher::match_rendezvous(slot.postponed, bt, rank, arity,
-                                        scoped, my_tid, record_for(bt)->id,
-                                        group, out_rank, info, chosen)) {
-    return false;
-  }
-
-  // Incremented under the slot mutex (match exclusivity), loaded
-  // lock-free by trigger()'s bound pre-screen.
-  slot.hot.hits.fetch_add(1, std::memory_order_relaxed);
-  if (CBP_OBS_ENABLED()) {
-    // One kMatch per rank, stamped by the matcher with each
-    // participant's tid (the waiters are asleep; their postponement
-    // spans close against these events).  detail carries the arity.
-    // The k events describe one instant, so one clock read stamps the
-    // whole run (Trace::stamp; under a virtual clock each event still
-    // gets its own unique deterministic stamp).
-    const auto detail = static_cast<std::uint16_t>(info.arity);
-    const std::uint64_t stamp = obs::Trace::stamp();
-    obs::Trace::record_for_at(stamp, my_tid, obs::EventKind::kMatch,
-                              group->name_id, out_rank, detail);
-    for (const internal::Waiter* w : chosen) {
-      obs::Trace::record_for_at(stamp, w->tid, obs::EventKind::kMatch,
-                                group->name_id, w->matched_rank, detail);
-    }
-  }
-  rt::clock_notify_all(slot.cv);
-  return true;
-}
-
-void Engine::await_turn(internal::GroupState& group, int rank,
-                        bool scoped) const {
-  // Protocol body in core/pattern.cc; this engine contributes only its
-  // clock-adjusted durations.
-  PatternMatcher::await_turn(group, rank, scoped,
-                             scaled(settings_.order_delay()),
-                             scaled(settings_.guard_wait_cap()));
-}
 
 namespace {
 
@@ -455,7 +406,11 @@ void Engine::report_hit(const HitInfo& info) {
 TriggerResult Engine::finish_hit(internal::Slot& slot,
                                  std::shared_ptr<internal::GroupState> group,
                                  int rank, bool scoped) {
-  await_turn(*group, rank, scoped);
+  // Protocol body in core/pattern.cc; this engine contributes only its
+  // clock-adjusted durations.
+  PatternMatcher::await_turn(*group, rank, scoped,
+                             scaled(settings_.order_delay()),
+                             scaled(settings_.guard_wait_cap()));
   CBP_OBS_EVENT(obs::EventKind::kRelease, group->name_id, rank);
 
   {
@@ -476,7 +431,11 @@ TriggerResult Engine::finish_hit(internal::Slot& slot,
 
 TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
                               std::chrono::microseconds timeout, bool scoped) {
-  assert(arity >= 2 && rank >= 0 && rank < arity);
+  // Checked in every build, before anything is counted: a rank outside
+  // [0, arity) would index past the hit's per-rank arrays, and an arity
+  // below 2 would "match" alone.  The broker's handle_arrive applies
+  // the same rule to a remote arrival.
+  if (arity < 2 || rank < 0 || rank >= arity) return {};
   // This engine's own knob, not Config::enabled(): the facade would
   // re-resolve Engine::current(), and this is the disabled fast path.
   if (!settings_.is_enabled()) return {};
@@ -489,7 +448,6 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
   // this fast path takes no lock and hashes no strings — a spec-disabled
   // breakpoint costs two dependent atomic loads.  `bound` and
   // `ignore_first` are applied by admit().
-  bool process_group = false;
   const SpecOverride* entry = record->spec.load(std::memory_order_acquire);
   if (entry != nullptr) {
     if (entry->disabled) return {};
@@ -513,89 +471,31 @@ TriggerResult Engine::trigger(BTrigger& bt, int rank, int arity,
         }
       }
     }
-    process_group = entry->scope == SpecScope::kProcessGroup;
     if (entry->pattern != nullptr) {
       // Pattern breakpoint: the declared rank maps onto the pattern's
       // site index, so existing ranked insertions join the automaton.
       if (rank >= static_cast<int>(entry->pattern->site_count())) return {};
-      return trigger_pattern(*record, bt, *entry, rank, timeout, scoped);
-    }
-  }
-
-  // Process-group dispatch (core/transport.h): only a spec entry can ask
-  // for it, so purely local breakpoints never read the transport.  A
-  // remote park is a kernel wait — under a bound virtual clock (which
-  // cannot schedule a foreign process) the entry degrades to local
-  // matching, as it does when no transport is attached.
-  if (process_group && rt::bound_virtual_clock() == nullptr) {
-    if (std::shared_ptr<TransportPolicy> remote_transport = transport()) {
-      return trigger_remote(*record, bt, *entry, rank, arity, timeout, scoped,
-                            *remote_transport);
+    } else if (entry->scope == SpecScope::kProcessGroup &&
+               rt::bound_virtual_clock() == nullptr) {
+      // Process-group dispatch (core/transport.h): only a spec entry can
+      // ask for it, so purely local breakpoints never read the
+      // transport.  A remote park is a kernel wait — under a bound
+      // virtual clock (which cannot schedule a foreign process) the
+      // entry degrades to local matching, as it does when no transport
+      // is attached.
+      if (std::shared_ptr<TransportPolicy> remote_transport = transport()) {
+        return trigger_remote(*record, bt, *entry, rank, arity, timeout,
+                              scoped, *remote_transport);
+      }
     }
   }
 
   // ---- armed fast path: no slot mutex (DESIGN.md §5i) ----------------
   // The three non-matching outcomes account themselves lock-free and
-  // return; only a call that may actually rendezvous pays for the lock.
+  // return here, before any call: only a call that may actually match
+  // enters trigger_local and pays for the lock.
   if (!admit(*record, bt, entry)) return {};
-
-  internal::Slot* slot = record->slot.get();
-  std::shared_ptr<internal::GroupState> group;
-  int my_rank = rank;
-  HitInfo info;
-  bool fire_observer = false;
-
-  {
-    std::unique_lock lock(slot->mu);
-    // Exact bound re-check: hits only grows while mu is held, so a call
-    // whose lock-free pre-screen read a stale value bounds out here and
-    // `bound = n` still means at most n matched groups.
-    if (bounded_out(*record, bt, entry)) return {};
-
-    if (try_match(*slot, bt, rank, arity, scoped, group, my_rank, info)) {
-      fire_observer = true;  // last-arriving participant reports the hit
-    } else {
-      internal::Waiter waiter;
-      waiter.trigger = &bt;
-      waiter.tid = rt::this_thread_id();
-      waiter.rank = rank;
-      waiter.arity = arity;
-      waiter.scoped = scoped;
-      slot->postponed.push_back(&waiter);
-      slot->cold.postponed += 1;
-      CBP_OBS_EVENT(obs::EventKind::kPostpone, record->id, rank);
-
-      const auto scaled_timeout = scaled(timeout);
-      rt::Stopwatch wait_clock;  // follows the active clock
-      rt::clock_wait_for(slot->cv, lock, scaled_timeout,
-                         [&] { return waiter.matched || waiter.cancelled; });
-      const std::int64_t wait_us = wait_clock.elapsed_us();
-      slot->cold.total_wait_us += wait_us;
-      slot->cold.wait_hist.record(
-          wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
-
-      auto it =
-          std::find(slot->postponed.begin(), slot->postponed.end(), &waiter);
-      if (it != slot->postponed.end()) slot->postponed.erase(it);
-
-      if (!waiter.matched) {
-        if (waiter.cancelled) {
-          slot->cold.cancelled += 1;
-          CBP_OBS_EVENT(obs::EventKind::kCancel, record->id, rank);
-        } else {
-          slot->cold.timeouts += 1;
-          CBP_OBS_EVENT(obs::EventKind::kTimeout, record->id, rank);
-        }
-        return {};
-      }
-      group = waiter.group;
-      my_rank = waiter.matched_rank;
-    }
-    slot->cold.participants += 1;
-  }
-
-  if (fire_observer) report_hit(info);
-  return finish_hit(*slot, std::move(group), my_rank, scoped);
+  return trigger_local(*record, bt, entry, rank, arity, timeout, scoped);
 }
 
 TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
@@ -616,158 +516,160 @@ TriggerResult Engine::trigger_site(BTrigger& bt, std::string_view site,
     timeout =
         std::chrono::duration_cast<std::chrono::microseconds>(*entry->pause);
   }
-  return trigger_pattern(*record, bt, *entry, index, timeout, scoped);
+  if (!admit(*record, bt, entry)) return {};
+  return trigger_local(*record, bt, entry, index, /*arity=*/0, timeout,
+                       scoped);
 }
 
-TriggerResult Engine::trigger_pattern(const internal::NameRecord& record,
-                                      BTrigger& bt, const SpecOverride& entry,
-                                      int site,
-                                      std::chrono::microseconds timeout,
-                                      bool scoped) {
-  // The automaton sits strictly behind the shared admission step.
-  if (!admit(record, bt, &entry)) return {};
-
+TriggerResult Engine::trigger_local(const internal::NameRecord& record,
+                                    BTrigger& bt, const SpecOverride* entry,
+                                    int rank, int arity,
+                                    std::chrono::microseconds timeout,
+                                    bool scoped) {
   internal::Slot* slot = record.slot.get();
-  std::shared_ptr<internal::GroupState> group;
-  int my_rank = -1;
-  HitInfo info;
-  bool fire_observer = false;
+  const bool pattern = entry != nullptr && entry->pattern != nullptr;
+  internal::Waiter waiter;
+  waiter.trigger = &bt;
+  waiter.tid = rt::this_thread_id();
+  waiter.rank = rank;
+  waiter.arity = pattern ? 0 : arity;  // 0: invisible to match_rendezvous
+  waiter.scoped = scoped;
 
-  {
-    std::unique_lock lock(slot->mu);
-    // Exact bound re-check, as in trigger().
-    if (bounded_out(record, bt, &entry)) return {};
-    // (Re)build the matcher when the installed entry changed: new spec
-    // generations have new entry addresses, so pointer identity is the
-    // epoch — the cold_bounded idiom.
-    if (slot->matcher_entry != &entry) {
-      slot->matcher = std::make_unique<PatternMatcher>(entry.pattern,
-                                                       record.id);
-      slot->matcher_entry = &entry;
-    }
+  std::unique_lock lock(slot->mu);
+  // Exact bound re-check: hits only grows while mu is held, so a call
+  // whose lock-free pre-screen read a stale value bounds out here and
+  // `bound = n` still means at most n matched groups.
+  if (bounded_out(record, bt, entry)) return {};
 
-    internal::Waiter waiter;
-    waiter.trigger = &bt;
-    waiter.tid = rt::this_thread_id();
-    waiter.rank = site;
-    waiter.arity = 0;  // pattern waiter: invisible to match_rendezvous
-    waiter.scoped = scoped;
+  // (Re)build the pattern matcher when the installed entry changed: new
+  // spec generations have new entry addresses, so pointer identity is
+  // the epoch — the cold_bounded idiom.
+  if (pattern && slot->matcher_entry != entry) {
+    slot->matcher = std::make_unique<PatternMatcher>(entry->pattern, record.id);
+    slot->matcher_entry = entry;
+  }
+  // One matcher step (DESIGN.md §5j): the automaton for a pattern entry,
+  // with `rank` as the site; else the single-step rendezvous.
+  PatternMatcher::Outcome out =
+      pattern ? slot->matcher->on_event(rank, waiter.tid, scoped, bt, &waiter)
+              : PatternMatcher::match_rendezvous(slot->postponed, bt, rank,
+                                                 arity, scoped, waiter.tid,
+                                                 record.id);
 
-    PatternMatcher::Outcome out =
-        slot->matcher->on_event(site, waiter.tid, scoped, bt, &waiter);
-
-    for (const PatternMatcher::Outcome::Advance& a : out.advances) {
-      slot->cold.pattern_partials += 1;
-      if (CBP_OBS_ENABLED()) {
-        obs::Trace::record_for(a.tid, obs::EventKind::kPatternAdvance,
-                               record.id, a.site,
-                               static_cast<std::uint16_t>(a.progress));
-      }
-    }
-    for (int progress : out.aborted) {
-      slot->cold.pattern_aborts += 1;
-      if (CBP_OBS_ENABLED()) {
-        obs::Trace::record(obs::EventKind::kPatternAbort, record.id, site,
-                           static_cast<std::uint16_t>(progress));
-      }
-    }
-    const bool woke_resumed = !out.resumed.empty();
-
-    switch (out.kind) {
-      case PatternMatcher::Outcome::Kind::kNoMatch:
-        slot->cold.pattern_rejects += 1;
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-        return {};
-      case PatternMatcher::Outcome::Kind::kRecorded:
-        // Event consumed, thread runs on: its pause comes at its last
-        // pattern event; the advance above is the telemetry record.
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-        return {};
-      case PatternMatcher::Outcome::Kind::kHit: {
-        slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
-        group = out.group;
-        my_rank = out.rank;
-        info = std::move(out.info);
-        fire_observer = true;
-        if (CBP_OBS_ENABLED()) {
-          const auto detail = static_cast<std::uint16_t>(info.arity);
-          const std::uint64_t stamp = obs::Trace::stamp();
-          obs::Trace::record_for_at(stamp, waiter.tid,
-                                    obs::EventKind::kMatch, record.id,
-                                    my_rank, detail);
-          for (const internal::Waiter* w : out.matched) {
-            obs::Trace::record_for_at(stamp, w->tid, obs::EventKind::kMatch,
-                                      record.id, w->matched_rank, detail);
-          }
-        }
-        slot->cold.participants += 1;
-        rt::clock_notify_all(slot->cv);
-        break;
-      }
-      case PatternMatcher::Outcome::Kind::kPark: {
-        slot->postponed.push_back(&waiter);
-        slot->cold.postponed += 1;
-        CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, site);
-        if (woke_resumed) rt::clock_notify_all(slot->cv);
-
-        const auto scaled_timeout = scaled(timeout);
-        rt::Stopwatch wait_clock;
-        rt::clock_wait_for(slot->cv, lock, scaled_timeout, [&] {
-          return waiter.matched || waiter.cancelled || waiter.resumed;
-        });
-        const std::int64_t wait_us = wait_clock.elapsed_us();
-        slot->cold.total_wait_us += wait_us;
-        slot->cold.wait_hist.record(
-            wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
-
-        auto it = std::find(slot->postponed.begin(), slot->postponed.end(),
-                            &waiter);
-        if (it != slot->postponed.end()) slot->postponed.erase(it);
-
-        if (waiter.matched) {
-          group = waiter.group;
-          my_rank = waiter.matched_rank;
-          slot->cold.participants += 1;
-          break;
-        }
-        if (waiter.resumed) {
-          // Consumed mid-pattern (the run needs this thread later) or
-          // orphaned by a hit that completed without this event —
-          // either way: continue, no hit.
-          return {};
-        }
-        // Timed out or cancelled: this thread's park is over, and the
-        // partial match it anchored is dead — abort the whole run.
-        if (slot->matcher != nullptr) {
-          PatternMatcher::DetachResult detached =
-              slot->matcher->detach(waiter.run, &waiter);
-          if (detached.aborted) {
-            slot->cold.pattern_aborts += 1;
-            if (CBP_OBS_ENABLED()) {
-              obs::Trace::record(obs::EventKind::kPatternAbort, record.id,
-                                 site,
-                                 static_cast<std::uint16_t>(detached.progress));
-            }
-            for (internal::Waiter* orphan : detached.orphans) {
-              orphan->cancelled = true;
-            }
-            if (!detached.orphans.empty()) rt::clock_notify_all(slot->cv);
-          }
-        }
-        if (waiter.cancelled) {
-          slot->cold.cancelled += 1;
-          CBP_OBS_EVENT(obs::EventKind::kCancel, record.id, site);
-        } else {
-          slot->cold.timeouts += 1;
-          CBP_OBS_EVENT(obs::EventKind::kTimeout, record.id, site);
-        }
-        return {};
-      }
+  for (const PatternMatcher::Outcome::Advance& a : out.advances) {
+    slot->cold.pattern_partials += 1;
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record_for(a.tid, obs::EventKind::kPatternAdvance,
+                             record.id, a.site,
+                             static_cast<std::uint16_t>(a.progress));
     }
   }
+  for (int progress : out.aborted) {
+    slot->cold.pattern_aborts += 1;
+    if (CBP_OBS_ENABLED()) {
+      obs::Trace::record(obs::EventKind::kPatternAbort, record.id, rank,
+                         static_cast<std::uint16_t>(progress));
+    }
+  }
+  if (!out.resumed.empty()) rt::clock_notify_all(slot->cv);
 
-  if (fire_observer) report_hit(info);
-  return finish_hit(*slot, std::move(group), my_rank, scoped);
+  switch (out.kind) {
+    case PatternMatcher::Outcome::Kind::kNoMatch:
+      slot->cold.pattern_rejects += 1;
+      return {};
+    case PatternMatcher::Outcome::Kind::kRecorded:
+      // Event consumed, thread runs on: its pause comes at its last
+      // pattern event; the advance above is the telemetry record.
+      return {};
+    case PatternMatcher::Outcome::Kind::kHit: {
+      // Incremented under the slot mutex (match exclusivity), loaded
+      // lock-free by admit()'s bound screen.
+      slot->hot.hits.fetch_add(1, std::memory_order_relaxed);
+      if (CBP_OBS_ENABLED()) {
+        // One kMatch per rank, stamped by the completing thread with
+        // each participant's tid (the waiters are asleep; their
+        // postponement spans close against these events).  detail
+        // carries the arity.  The events describe one instant, so one
+        // clock read stamps them all (Trace::stamp; under a virtual
+        // clock each event still gets its own deterministic stamp).
+        const auto detail = static_cast<std::uint16_t>(out.info.arity);
+        const std::uint64_t stamp = obs::Trace::stamp();
+        obs::Trace::record_for_at(stamp, waiter.tid, obs::EventKind::kMatch,
+                                  record.id, out.rank, detail);
+        for (const internal::Waiter* w : out.matched) {
+          obs::Trace::record_for_at(stamp, w->tid, obs::EventKind::kMatch,
+                                    record.id, w->matched_rank, detail);
+        }
+      }
+      rt::clock_notify_all(slot->cv);
+      break;
+    }
+    case PatternMatcher::Outcome::Kind::kPark: {
+      slot->postponed.push_back(&waiter);
+      slot->cold.postponed += 1;
+      CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
+
+      rt::Stopwatch wait_clock;  // follows the active clock
+      rt::clock_wait_for(slot->cv, lock, scaled(timeout), [&] {
+        return waiter.matched || waiter.cancelled || waiter.resumed;
+      });
+      const std::int64_t wait_us = wait_clock.elapsed_us();
+      slot->cold.total_wait_us += wait_us;
+      slot->cold.wait_hist.record(
+          wait_us > 0 ? static_cast<std::uint64_t>(wait_us) : 0);
+
+      auto it = std::find(slot->postponed.begin(), slot->postponed.end(),
+                          &waiter);
+      if (it != slot->postponed.end()) slot->postponed.erase(it);
+
+      // `matched` wins over a racing cancel_all: the group is already
+      // published with this thread in it.
+      if (waiter.matched) {
+        out.group = waiter.group;
+        out.rank = waiter.matched_rank;
+        break;
+      }
+      if (waiter.resumed) {
+        // Pattern waiters only: consumed mid-pattern (the run needs
+        // this thread later) or orphaned by a hit that completed
+        // without this event — either way: continue, no hit.
+        return {};
+      }
+      // Timed out or cancelled: this thread's park is over, and a
+      // partial pattern match it anchored is dead — abort the whole
+      // run.  A rendezvous waiter holds no run (id 0), so detach
+      // leaves every run alone.
+      if (slot->matcher != nullptr) {
+        PatternMatcher::DetachResult detached =
+            slot->matcher->detach(waiter.run, &waiter);
+        if (detached.aborted) {
+          slot->cold.pattern_aborts += 1;
+          if (CBP_OBS_ENABLED()) {
+            obs::Trace::record(obs::EventKind::kPatternAbort, record.id, rank,
+                               static_cast<std::uint16_t>(detached.progress));
+          }
+          for (internal::Waiter* orphan : detached.orphans) {
+            orphan->cancelled = true;
+          }
+          if (!detached.orphans.empty()) rt::clock_notify_all(slot->cv);
+        }
+      }
+      if (waiter.cancelled) {
+        slot->cold.cancelled += 1;
+        CBP_OBS_EVENT(obs::EventKind::kCancel, record.id, rank);
+      } else {
+        slot->cold.timeouts += 1;
+        CBP_OBS_EVENT(obs::EventKind::kTimeout, record.id, rank);
+      }
+      return {};
+    }
+  }
+  slot->cold.participants += 1;
+  lock.unlock();
+
+  // The completing thread reports the hit; parked participants do not.
+  if (out.kind == PatternMatcher::Outcome::Kind::kHit) report_hit(out.info);
+  return finish_hit(*slot, std::move(out.group), out.rank, scoped);
 }
 
 TriggerResult Engine::trigger_remote(const internal::NameRecord& record,

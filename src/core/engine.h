@@ -49,10 +49,6 @@ namespace cbp {
 
 namespace internal {
 
-// GroupState and Waiter — the shared state of a hit and one postponed
-// thread — live in core/pattern.h now: the PatternMatcher owns the
-// matching machinery and the engine is its caller.
-
 /// Cells per striped tally.  A compile-time constant, not a knob: it
 /// only has to exceed the number of threads that hammer one name at
 /// once on common hosts; threads beyond it share cells (contention, not
@@ -102,8 +98,8 @@ class StripedCounter {
 ///     arrival a unique index, so exactly the first `ignore_first`
 ///     arrivals are ignored), and `hits` is the bound.  `hits` is only
 ///     *incremented* under the slot mutex (match exclusivity needs it)
-///     but *read* lock-free by the bound screen; trigger() and
-///     trigger_pattern() re-check it under the mutex before matching, so
+///     but *read* lock-free by the bound screen; trigger_local()
+///     re-checks it under the mutex before matching, so
 ///     `bound` stays exact — the lock-free read can only send a call to
 ///     the slow path spuriously, never let an over-budget call match;
 ///   * `calls` is not stored: every call is either a local reject or an
@@ -178,8 +174,6 @@ struct NameRecord {
 
 }  // namespace internal
 
-// HitInfo moved to core/pattern.h (the matcher fills it).
-
 /// Breakpoint engine.  All public methods are thread-safe.
 ///
 /// Engines are first-class objects: the process-wide default is
@@ -228,7 +222,8 @@ class Engine {
   /// When the active spec entry for this name carries a `pattern=`, the
   /// call is routed to the pattern matcher with `rank` as the site
   /// index (so existing 2-site insertions participate in a pattern
-  /// without recompiling).
+  /// without recompiling).  A call with `arity < 2` or `rank` outside
+  /// [0, arity) returns no hit and counts nothing, in every build.
   TriggerResult trigger(BTrigger& bt, int rank, int arity,
                         std::chrono::microseconds timeout, bool scoped);
 
@@ -332,14 +327,6 @@ class Engine {
   /// aggregation never holds a table-wide lock while locking slots.
   std::vector<const internal::NameRecord*> records_snapshot() const;
 
-  /// Thin adapter over PatternMatcher::match_rendezvous (the matching
-  /// algorithm itself lives in core/pattern.cc): on success it also
-  /// bumps `hits`, stamps the per-rank obs events and notifies the slot
-  /// cv.  Called with slot->mu held.
-  bool try_match(internal::Slot& slot, BTrigger& bt, int rank, int arity,
-                 bool scoped, std::shared_ptr<internal::GroupState>& group,
-                 int& out_rank, HitInfo& info);
-
   /// The admission step every trigger path starts with, lock-free
   /// (DESIGN.md §5i): local predicate → local reject, else arrival →
   /// cold-bounded sticky → bound screen → ignore window.  Returns true
@@ -353,25 +340,26 @@ class Engine {
   /// Called with no locks held.
   void report_hit(const HitInfo& info);
 
-  /// The in-process hit tail shared by trigger() and trigger_pattern():
-  /// ordered release, the order-latency histogram, and the result (with
-  /// a guard when scoped).  Called with no locks held.
+  /// The hit tail of trigger_local(): ordered release (this engine's
+  /// time scale applied to the order delay and guard cap), the
+  /// order-latency histogram, and the result (with a guard when
+  /// scoped).  Called with no locks held.
   TriggerResult finish_hit(internal::Slot& slot,
                            std::shared_ptr<internal::GroupState> group,
                            int rank, bool scoped);
 
-  /// Thin adapter over PatternMatcher::await_turn that applies this
-  /// engine's time scale to the order delay and guard cap.  Called with
-  /// no locks held.
-  void await_turn(internal::GroupState& group, int rank, bool scoped) const;
-
-  /// The pattern slow path: admit(), then a matcher dispatch under the
-  /// slot mutex.  `entry` must carry a pattern; `site` is its index in
-  /// the compiled spec.
-  TriggerResult trigger_pattern(const internal::NameRecord& record,
-                                BTrigger& bt, const SpecOverride& entry,
-                                int site, std::chrono::microseconds timeout,
-                                bool scoped);
+  /// The in-process trigger body behind trigger() and trigger_site(),
+  /// entered once admit() passed (the callers run it inline, so an armed
+  /// reject costs no extra call): under the slot mutex the exact bound
+  /// re-check and one matcher step — the automaton when `entry` carries
+  /// a pattern (with `rank` as the site; `arity` unused), else the
+  /// rendezvous — then one reject/record/hit/park switch with a single
+  /// park tail, and report_hit()/finish_hit() for a hit.  `entry` is the
+  /// active spec entry or null.
+  TriggerResult trigger_local(const internal::NameRecord& record,
+                              BTrigger& bt, const SpecOverride* entry,
+                              int rank, int arity,
+                              std::chrono::microseconds timeout, bool scoped);
 
   /// Process-group dispatch: admit() in-process, then the whole
   /// postponement/match/release protocol runs through `transport` (the

@@ -534,62 +534,48 @@ PatternMatcher::DetachResult PatternMatcher::detach(std::uint64_t run,
 }
 
 // ---------------------------------------------------------------------------
-// The degenerate single-step pattern: classic rendezvous selection
-// (moved verbatim from Engine::try_match) and the rank-order release
-// protocol (moved verbatim from Engine::await_turn).
+// The degenerate single-step pattern: classic rendezvous selection and
+// the rank-order release protocol.
 // ---------------------------------------------------------------------------
 
-bool PatternMatcher::match_rendezvous(
+PatternMatcher::Outcome PatternMatcher::match_rendezvous(
     const std::vector<internal::Waiter*>& postponed, BTrigger& bt, int rank,
-    int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id,
-    std::shared_ptr<internal::GroupState>& group, int& out_rank, HitInfo& info,
-    std::vector<internal::Waiter*>& chosen) {
+    int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id) {
+  Outcome out;
+  out.kind = Outcome::Kind::kPark;
   // Candidate waiters: same arity, different thread, not yet taken.
   // predicate_global is user code, but it must be evaluated while the
   // peer is quiescent in the Postponed set — the slot mutex is exactly
   // what guarantees that, so predicates are required to be pure and
   // non-blocking (documented in btrigger.h).
+  // Selected waiter per rank; a 2-ary call that parks allocates none.
+  std::vector<internal::Waiter*> by_rank;
+  int mine = rank;
   if (arity == 2) {
+    internal::Waiter* peer = nullptr;
     for (internal::Waiter* w : postponed) {
       if (w->matched || w->cancelled || w->arity != 2 || w->tid == my_tid) {
         continue;
       }
       if (!bt.predicate_global(*w->trigger)) continue;
-      chosen.push_back(w);
+      peer = w;
       break;
     }
-    if (chosen.empty()) return false;
-    internal::Waiter* peer = chosen.front();
+    if (peer == nullptr) return out;
     // Effective ranks: declared if distinct; otherwise the postponed
     // (earlier) thread is ordered first.
     int peer_rank = peer->rank;
-    int mine = rank;
     if (peer_rank == mine) {
       peer_rank = 0;
       mine = 1;
     }
-    group = std::make_shared<internal::GroupState>(2);
-    // Each rank's scoped-ness is fixed here, before any participant can
-    // observe the group: the peer's comes from its Waiter record, ours
-    // from the trigger call itself.  await_turn no longer writes it, so
-    // a rank can never read a flag the owner hadn't published yet.
-    group->uses_guard[static_cast<std::size_t>(peer_rank)] =
-        peer->scoped ? 1 : 0;
-    group->uses_guard[static_cast<std::size_t>(mine)] = scoped ? 1 : 0;
-    peer->matched = true;
-    peer->matched_rank = peer_rank;
-    peer->group = group;
-    out_rank = mine;
-    info.arity = 2;
-    info.threads.assign(2, 0);
-    info.threads[static_cast<std::size_t>(peer_rank)] = peer->tid;
-    info.threads[static_cast<std::size_t>(mine)] = my_tid;
+    by_rank.assign(2, nullptr);
+    by_rank[static_cast<std::size_t>(peer_rank)] = peer;
   } else {
     // k-ary rendezvous: need one waiter per rank other than ours, all
     // from distinct threads, each compatible with the arriving trigger
     // and pairwise compatible with each other (greedy selection).
-    std::vector<internal::Waiter*> by_rank(static_cast<std::size_t>(arity),
-                                           nullptr);
+    by_rank.assign(static_cast<std::size_t>(arity), nullptr);
     std::vector<rt::ThreadId> used_tids{my_tid};
     for (internal::Waiter* w : postponed) {
       if (w->matched || w->cancelled || w->arity != arity) continue;
@@ -614,32 +600,38 @@ bool PatternMatcher::match_rendezvous(
     }
     for (int r = 0; r < arity; ++r) {
       if (r != rank && by_rank[static_cast<std::size_t>(r)] == nullptr) {
-        return false;
+        return out;
       }
     }
-    group = std::make_shared<internal::GroupState>(arity);
-    group->uses_guard[static_cast<std::size_t>(rank)] = scoped ? 1 : 0;
-    info.arity = arity;
-    info.threads.assign(static_cast<std::size_t>(arity), 0);
-    info.threads[static_cast<std::size_t>(rank)] = my_tid;
-    for (int r = 0; r < arity; ++r) {
-      internal::Waiter* w = by_rank[static_cast<std::size_t>(r)];
-      if (w == nullptr) continue;
-      w->matched = true;
-      w->matched_rank = r;
-      w->group = group;
-      group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
-      chosen.push_back(w);
-      info.threads[static_cast<std::size_t>(r)] = w->tid;
-    }
-    out_rank = rank;
   }
 
+  // Each rank's scoped-ness is fixed here, before any participant can
+  // observe the group: a waiter's comes from its Waiter record, ours
+  // from the trigger call itself.  await_turn never writes it, so a
+  // rank can never read a flag the owner hadn't published yet.
+  auto group = std::make_shared<internal::GroupState>(arity);
+  group->uses_guard[static_cast<std::size_t>(mine)] = scoped ? 1 : 0;
+  out.info.arity = arity;
+  out.info.threads.assign(static_cast<std::size_t>(arity), 0);
+  out.info.threads[static_cast<std::size_t>(mine)] = my_tid;
+  for (int r = 0; r < arity; ++r) {
+    internal::Waiter* w = by_rank[static_cast<std::size_t>(r)];
+    if (w == nullptr) continue;
+    w->matched = true;
+    w->matched_rank = r;
+    w->group = group;
+    group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
+    out.matched.push_back(w);
+    out.info.threads[static_cast<std::size_t>(r)] = w->tid;
+  }
   group->name_id = name_id;
   group->match_time = rt::clock_now();
-  info.name = bt.name();
-  info.description = bt.describe();
-  return true;
+  out.info.name = bt.name();
+  out.info.description = bt.describe();
+  out.kind = Outcome::Kind::kHit;
+  out.group = std::move(group);
+  out.rank = mine;
+  return out;
 }
 
 void PatternMatcher::await_turn(internal::GroupState& group, int rank,

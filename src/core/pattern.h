@@ -19,8 +19,7 @@
 // states, state sets as uint64_t bitsets, epsilon closures and
 // reachability precomputed).  A PatternMatcher owns the partial-match
 // state — *runs*, each a state set plus variable bindings plus the
-// parked threads that produced its events — that used to live only in
-// `GroupState`/`Engine::try_match` for the degenerate one-step case.
+// parked threads that produced its events.
 //
 // Matching semantics (all under the owning slot's mutex):
 //   * an event that some run can consume advances that run (oldest
@@ -50,9 +49,10 @@
 //     cancelled, and the partial match is discarded.
 //
 // The classic 2-site and k-ary rendezvous are the degenerate
-// single-step pattern; their matcher (`match_rendezvous`) and the
-// rank-order release protocol (`await_turn`) moved here from engine.cc
-// so one matcher serves both and the broker can adopt it later.
+// single-step pattern: `match_rendezvous` returns the same Outcome as
+// `on_event` (a hit, or park), so the engine runs one matcher step and
+// one park/release tail for both; `await_turn` is the shared rank-order
+// release protocol.
 #pragma once
 
 #include <chrono>
@@ -106,7 +106,7 @@ struct GroupState {
   std::vector<rt::TimePoint> release_time;  // guarded by mu
 };
 
-/// One postponed thread (stack-allocated inside Engine::trigger).  The
+/// One postponed thread (stack-allocated by the parking trigger).  The
 /// pattern fields (`run`, `site`, `resumed`) are used only when the
 /// waiter was parked by a PatternMatcher; `arity` is 0 for pattern
 /// waiters so the rendezvous matcher can never select one.
@@ -208,9 +208,9 @@ class PatternSpec {
 /// The matcher: owns partial-match state for one breakpoint name (one
 /// per Slot, rebuilt when the installed spec entry changes).  All
 /// non-static methods must be called with the owning slot's mutex held.
-/// Also home of the two stateless protocols shared with the classic
-/// rendezvous path: `match_rendezvous` (the degenerate single-step
-/// pattern) and `await_turn` (rank-order release).
+/// Also home of the two stateless protocols of the classic rendezvous:
+/// `match_rendezvous` (the degenerate single-step pattern) and
+/// `await_turn` (rank-order release, shared by every in-process hit).
 class PatternMatcher {
  public:
   /// At most this many concurrent runs; a new run evicts the oldest run
@@ -228,7 +228,8 @@ class PatternMatcher {
     enum class Kind {
       kNoMatch,   ///< pattern-reject: no run advanced, parked, or started
       kRecorded,  ///< event consumed; thread continues (needed later)
-      kPark,      ///< caller must park (consumed-and-waiting, or pending)
+      kPark,      ///< caller must park (consumed-and-waiting, pending,
+                  ///< or a rendezvous with no complete group yet)
       kHit,       ///< accept reached: group assembled, caller has a rank
     };
     Kind kind = Kind::kNoMatch;
@@ -283,18 +284,14 @@ class PatternMatcher {
   // ---- the degenerate single-step pattern: classic rendezvous --------
 
   /// Tries to assemble a full rendezvous group around `bt` from
-  /// `postponed` (moved verbatim from Engine::try_match).  Called with
-  /// the slot mutex held.  On success fills `group` (name_id,
-  /// match_time and every rank's uses_guard fixed before publication),
-  /// marks the selected waiters matched, returns the arriving thread's
-  /// rank via `out_rank`, collects hit info for the observer and the
-  /// selected waiters in `chosen` (for per-rank obs events).
-  static bool match_rendezvous(const std::vector<internal::Waiter*>& postponed,
-                               BTrigger& bt, int rank, int arity, bool scoped,
-                               rt::ThreadId my_tid, std::uint32_t name_id,
-                               std::shared_ptr<internal::GroupState>& group,
-                               int& out_rank, HitInfo& info,
-                               std::vector<internal::Waiter*>& chosen);
+  /// `postponed`.  Called with the slot mutex held; `rank` must lie in
+  /// [0, arity).  Returns kHit — `group` (name_id, match_time and every
+  /// rank's uses_guard fixed before publication), the arriving thread's
+  /// `rank`, the observer's `info`, and the selected waiters (marked
+  /// matched) in `matched` — or kPark when no complete group exists.
+  static Outcome match_rendezvous(
+      const std::vector<internal::Waiter*>& postponed, BTrigger& bt, int rank,
+      int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id);
 
   /// Rank-order release protocol; returns after rank `rank` is allowed
   /// to proceed.  Called with no locks held.  `order_delay` and

@@ -338,7 +338,7 @@ TEST_F(EngineTest, IgnoreFirstSkipsEarlyPostponements) {
 TEST_F(EngineTest, IgnoredArrivalNeverMatchesNorPostpones) {
   // An arrival inside the ignore_first window is skipped entirely: it
   // must not complete a match against a postponed peer (it used to —
-  // the ignore check ran after try_match), and it must not postpone.
+  // the ignore check ran after the matcher), and it must not postpone.
   int obj = 0;
   rt::Latch postponed(1);
   std::thread waiter([&] {

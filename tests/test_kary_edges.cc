@@ -1,10 +1,13 @@
-// Edge cases in the k-ary rendezvous (engine try_match, k > 2):
+// Edge cases in the k-ary rendezvous (PatternMatcher::match_rendezvous,
+// k > 2):
 //   * greedy selection must reject a candidate that is pairwise
 //     incompatible with an already-selected waiter, and a later arrival
 //     with a compatible value must still complete the group;
-//   * cancel_all racing a match: a waiter that try_match has already
+//   * cancel_all racing a match: a waiter that the matcher has already
 //     claimed (matched = true) and that cancel_all then flags must
-//     count as a participant, never as cancelled — `matched` wins.
+//     count as a participant, never as cancelled — `matched` wins;
+//   * a rank outside [0, arity), or an arity below 2, is rejected in
+//     every build: no hit, nothing counted, no park.
 
 #include <gtest/gtest.h>
 
@@ -97,7 +100,7 @@ TEST_F(KaryEdgeTest, PairwiseIncompatibleWaiterIsSkippedMidSelection) {
 }
 
 // cancel_all racing a match.  The hit observer runs on the matcher
-// after try_match claimed the waiter (matched = true) but typically
+// after the matcher claimed the waiter (matched = true) but typically
 // before the waiter has woken and removed itself from the postponed
 // list — so cancel_all inside the observer flags an already-matched
 // waiter as cancelled.  The wake-up path must treat `matched` as
@@ -150,6 +153,46 @@ TEST_F(KaryEdgeTest, UnmatchedWaiterIsCancelled) {
   const auto stats = Engine::instance().stats("cancel-plain");
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.hits, 0u);
+}
+
+// Out-of-range ranks next to a postponed valid peer.  Each bad call
+// used to reach the matcher: rank 5 of 2 paired with the rank-0 peer
+// and wrote past the group's per-rank arrays, and arity 1 "matched"
+// alone.  Now each returns at once without counting, and the peer,
+// left alone, times out.
+TEST_F(KaryEdgeTest, OutOfRangeRankNeverMatchesAPostponedPeer) {
+  int obj = 0;
+  bool peer_hit = true;
+  std::thread peer([&] {
+    ConflictTrigger t("bad-rank", &obj);
+    peer_hit = t.trigger_here_ranked(0, 2, 500ms);
+  });
+  // `postponed` is counted in the critical section that lists the
+  // waiter, so once it reads 1 the peer is matchable.
+  while (Engine::instance().stats("bad-rank").postponed == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
+
+  const struct {
+    int rank;
+    int arity;
+  } bad[] = {{5, 2}, {2, 2}, {-1, 2}, {0, 1}, {3, 3}};
+  rt::Stopwatch sw;
+  for (const auto& call : bad) {
+    ConflictTrigger t("bad-rank", &obj);
+    EXPECT_FALSE(t.trigger_here_ranked(call.rank, call.arity, 2000ms))
+        << "rank " << call.rank << " of arity " << call.arity;
+  }
+  EXPECT_LT(sw.elapsed_us(), 250'000) << "an out-of-range call parked";
+  peer.join();
+
+  EXPECT_FALSE(peer_hit);
+  const auto stats = Engine::instance().stats("bad-rank");
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.calls, 1u);  // the peer's call only
+  EXPECT_EQ(stats.postponed, 1u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.participants, 0u);
 }
 
 }  // namespace

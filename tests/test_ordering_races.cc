@@ -4,10 +4,10 @@
 // into await_turn.  A later-ordered thread that reached await_turn
 // before an earlier-ordered peer had published its scoped-ness could
 // read a stale uses_guard == 0 and fall back to the order_delay path,
-// breaking the "guard release gates rank k+1" contract.  try_match now
-// fills uses_guard for every rank from Waiter::scoped (and from its own
-// call arguments) before the group is published, so await_turn only
-// ever reads immutable data.
+// breaking the "guard release gates rank k+1" contract.
+// PatternMatcher::match_rendezvous now fills uses_guard for every rank
+// from Waiter::scoped (and from its own call arguments) before the
+// group is published, so await_turn only ever reads immutable data.
 //
 // The tests below provoke the old interleaving as hard as the public
 // API allows: a hit observer stalls the matcher between match and
@@ -60,7 +60,7 @@ TEST_F(OrderingRaceTest, PlainWaiterWaitsForScopedMatchersGuard) {
   for (int i = 0; i < kIterations; ++i) {
     std::atomic<bool> guard_released{false};
     std::atomic<bool> waiter_ran_early{false};
-    // Stall the matcher after try_match publishes the group but before
+    // Stall the matcher after the match publishes the group but before
     // it enters await_turn — maximizing the window in which the waiter
     // observes the freshly-published uses_guard.
     Engine::instance().set_hit_observer(
@@ -150,8 +150,8 @@ TEST_F(OrderingRaceTest, ScopedWaitersGuardGatesThePlainMatcher) {
 
 // Mixed 3-ary rendezvous: rank 0 scoped, rank 1 plain, rank 2 scoped.
 // Each rank's gate must use that rank's own scoped-ness (ack for 0 and
-// 2, order_delay for 1) — exercising the per-rank uses_guard fill in
-// try_match's k-ary selection loop.
+// 2, order_delay for 1) — exercising the per-rank uses_guard fill after
+// match_rendezvous's k-ary selection loop.
 TEST_F(OrderingRaceTest, MixedScopedRanksReleaseInOrder) {
   std::atomic<int> release_counter{0};
   int order_rank0 = -1, order_rank1 = -1, order_rank2 = -1;

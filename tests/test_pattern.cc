@@ -291,9 +291,9 @@ TEST(PatternMatcherTest, AlternationAcceptsEitherBranch) {
 }
 
 // ---------------------------------------------------------------------------
-// PR 3 regression semantics against the extracted matcher (satellite:
-// the ordering-race and k-ary edge guarantees now live behind
-// match_rendezvous/await_turn, so they are pinned here directly).
+// Rendezvous regression semantics against the matcher itself: the
+// ordering-race and k-ary edge guarantees live behind
+// match_rendezvous/await_turn, so they are pinned here directly.
 // ---------------------------------------------------------------------------
 
 TEST(RendezvousMatcherTest, UsesGuardIsFixedBeforePublicationForEveryRank) {
@@ -311,25 +311,21 @@ TEST(RendezvousMatcherTest, UsesGuardIsFixedBeforePublicationForEveryRank) {
   w.scoped = true;
   std::vector<Waiter*> postponed{&w};
 
-  std::shared_ptr<GroupState> group;
-  int my_rank = -1;
-  HitInfo info;
-  std::vector<Waiter*> chosen;
-  const bool ok = PatternMatcher::match_rendezvous(
+  const Outcome out = PatternMatcher::match_rendezvous(
       postponed, matcher_t, /*rank=*/1, /*arity=*/2, /*scoped=*/false,
-      /*my_tid=*/22, /*name_id=*/1, group, my_rank, info, chosen);
-  ASSERT_TRUE(ok);
-  ASSERT_NE(group, nullptr);
-  EXPECT_EQ(my_rank, 1);
-  EXPECT_EQ(group->uses_guard[0], 1);  // from Waiter::scoped
-  EXPECT_EQ(group->uses_guard[1], 0);  // from the matcher's own call
+      /*my_tid=*/22, /*name_id=*/1);
+  ASSERT_TRUE(out.kind == Outcome::Kind::kHit);
+  ASSERT_NE(out.group, nullptr);
+  EXPECT_EQ(out.rank, 1);
+  EXPECT_EQ(out.group->uses_guard[0], 1);  // from Waiter::scoped
+  EXPECT_EQ(out.group->uses_guard[1], 0);  // from the matcher's own call
   EXPECT_TRUE(w.matched);
   EXPECT_EQ(w.matched_rank, 0);
-  ASSERT_EQ(chosen.size(), 1u);
-  EXPECT_EQ(chosen[0], &w);
-  EXPECT_EQ(info.arity, 2);
-  EXPECT_EQ(info.threads[0], 11u);
-  EXPECT_EQ(info.threads[1], 22u);
+  ASSERT_EQ(out.matched.size(), 1u);
+  EXPECT_EQ(out.matched[0], &w);
+  EXPECT_EQ(out.info.arity, 2);
+  EXPECT_EQ(out.info.threads[0], 11u);
+  EXPECT_EQ(out.info.threads[1], 22u);
 }
 
 TEST(RendezvousMatcherTest, SkipsCancelledWaitersAndPatternWaiters) {
@@ -355,13 +351,9 @@ TEST(RendezvousMatcherTest, SkipsCancelledWaitersAndPatternWaiters) {
   good.arity = 2;
 
   std::vector<Waiter*> postponed{&cancelled, &pattern_waiter, &good};
-  std::shared_ptr<GroupState> group;
-  int my_rank = -1;
-  HitInfo info;
-  std::vector<Waiter*> chosen;
   ASSERT_TRUE(PatternMatcher::match_rendezvous(postponed, bt, 1, 2, false, 9,
-                                               1, group, my_rank, info,
-                                               chosen));
+                                               1)
+                  .kind == Outcome::Kind::kHit);
   EXPECT_FALSE(cancelled.matched);
   EXPECT_FALSE(pattern_waiter.matched);
   EXPECT_TRUE(good.matched);
@@ -378,13 +370,9 @@ TEST(RendezvousMatcherTest, RejectsOnFailedGlobalPredicate) {
   w.rank = 0;
   w.arity = 2;
   std::vector<Waiter*> postponed{&w};
-  std::shared_ptr<GroupState> group;
-  int my_rank = -1;
-  HitInfo info;
-  std::vector<Waiter*> chosen;
   EXPECT_FALSE(PatternMatcher::match_rendezvous(postponed, matcher_t, 1, 2,
-                                                false, 2, 1, group, my_rank,
-                                                info, chosen));
+                                                false, 2, 1)
+                   .kind == Outcome::Kind::kHit);
   EXPECT_FALSE(w.matched);
 }
 
@@ -567,6 +555,35 @@ TEST_F(PatternEngineTest, TimeoutAbortsThePartialMatch) {
   b.join();
   EXPECT_TRUE(ra.hit);
   EXPECT_TRUE(rb.hit);
+}
+
+// cancel_all during a parked pattern run: the park ends cancelled (not
+// timed out), the run it anchored is aborted, and the stay is measured
+// once — the pattern side of the tail EngineTest's
+// CancelAllWakesPostponedThreadEarly checks for rendezvous.
+TEST_F(PatternEngineTest, CancelAllEndsAParkedPatternRun) {
+  install("ep-cancel pattern=first:t1.second:t2\n");
+
+  TriggerResult r;
+  std::thread parker([&] {
+    PatternTrigger t("ep-cancel");
+    r = t.trigger_here_site("first", 5000ms);
+  });
+  // `postponed` is counted under the slot mutex in the same critical
+  // section that lists the waiter, so once it reads 1 cancel_all sees it.
+  while (Engine::instance().stats("ep-cancel").postponed == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
+  Engine::instance().cancel_all();
+  parker.join();
+
+  EXPECT_FALSE(r.hit);
+  const auto stats = Engine::instance().stats("ep-cancel");
+  EXPECT_EQ(stats.cancelled, 1u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.pattern_aborts, 1u);
+  EXPECT_EQ(stats.postponed, 1u);
+  EXPECT_EQ(stats.wait_hist.count, 1u);
 }
 
 TEST_F(PatternEngineTest, OutOfOrderSecondSiteIsAPatternReject) {

@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, IgnoreFirstSweep,
                          ::testing::Values(0, 1, 5, 12, 100));
 
 TEST(IgnoreFirstOrdering, ArrivalInsideWindowDoesNotMatchPostponedPeer) {
-  // Regression for the trigger-order bug: try_match used to run before
+  // Regression for the trigger-order bug: the matcher used to run before
   // the ignore_first check, so an arrival inside the ignore window could
   // still complete a match against a postponed peer — with an exact
   // arrival counter the warm-up phase nevertheless recorded hits.  The

@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "apps/httpdlike/prefork.h"
 #include "bench_util.h"
@@ -101,8 +102,9 @@ int main(int argc, char** argv) {
   harness::TextTable table({"Configuration", "Races/Runs", "Prob.",
                             "95% CI", "Avg s/run"});
   auto ci = [](const harness::ProbabilityInterval& w) {
-    return "[" + harness::fmt_prob(w.low) + ", " + harness::fmt_prob(w.high) +
-           "]";
+    std::string s = harness::fmt_prob(w.low);
+    s.insert(0, 1, '[');
+    return s.append(", ").append(harness::fmt_prob(w.high)).append("]");
   };
   table.add_row({"with breakpoints",
                  std::to_string(with_races) + "/" +

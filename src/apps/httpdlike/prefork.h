@@ -23,8 +23,8 @@
 //     interleaving two processes' half-lines.
 //
 // fork discipline: workers are forked while the parent is still
-// single-threaded; only then does the parent start the Broker (whose IO
-// and match threads must never cross a fork).  Workers retry-connect to
+// single-threaded; only then does the parent start the Broker (whose
+// event-loop thread must never cross a fork).  Workers retry-connect to
 // the socket, attach a BrokerClient transport, and _exit without
 // running atexit handlers.
 //

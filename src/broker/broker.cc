@@ -10,14 +10,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "broker/wire.h"
-#include "runtime/channel.h"
 
 namespace cbp::broker {
 namespace {
@@ -27,10 +28,6 @@ using SteadyClock = std::chrono::steady_clock;
 /// Sanity bound on declared arity (matches the engine's practical use;
 /// a wild value is a protocol error, not a resource commitment).
 constexpr int kMaxArity = 64;
-
-/// Idle tick when no deadline is pending: bounds how stale the timer
-/// sweep can get if a wakeup is ever lost.
-constexpr std::chrono::milliseconds kIdleTick{200};
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -42,16 +39,7 @@ bool set_nonblocking(int fd) {
 struct Broker::Impl {
   explicit Impl(BrokerOptions opts) : options(std::move(opts)) {}
 
-  // ---- events: IO thread -> match thread --------------------------------
-
-  struct Event {
-    enum class Kind : std::uint8_t { kMessage, kDisconnect };
-    Kind kind = Kind::kMessage;
-    std::uint64_t conn_id = 0;
-    Message msg;
-  };
-
-  // ---- match-thread protocol state --------------------------------------
+  // ---- protocol state ----------------------------------------------------
 
   struct Arrival {
     std::uint64_t conn_id = 0;
@@ -77,28 +65,36 @@ struct Broker::Impl {
     SteadyClock::time_point grant_deadline;
   };
 
+  struct Conn {
+    int fd = -1;
+    std::vector<std::uint8_t> inbuf;
+    std::vector<std::uint8_t> outbuf;
+  };
+
   BrokerOptions options;
 
   mutable std::mutex stats_mu;
   BrokerStats stats;  // guarded by stats_mu
 
   int listen_fd = -1;
-  int wake_r = -1;
+  int wake_r = -1;  // self-pipe: stop() wakes the loop through it
   int wake_w = -1;
   std::atomic<bool> stopping{false};
   bool started = false;
 
-  std::thread io_thread;
-  std::thread match_thread;
+  std::thread loop_thread;
 
-  rt::Channel<Event> events{1024};
-
-  // Outbound frames queued by the match thread; the IO thread (sole fd
-  // owner) drains them into per-connection buffers after each wakeup.
-  std::mutex out_mu;
-  std::vector<std::pair<std::uint64_t, Message>> pending_out;  // by out_mu
-
-  // ---- helpers shared by both threads -----------------------------------
+  // Everything below is touched only by the loop thread.
+  std::map<std::uint64_t, Conn> conns;
+  std::uint64_t next_conn_id = 1;
+  std::unordered_map<std::string, std::vector<Arrival>> postponed;
+  std::unordered_map<std::uint64_t, Group> groups;
+  // (conn_id, token) -> group id, for DONE routing.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> in_group;
+  std::uint64_t next_group_id = 1;
+  std::uint64_t next_seq = 1;
+  // Replies queued by the handlers this round, flushed before the poll.
+  std::vector<std::pair<std::uint64_t, Message>> replies;
 
   void bump(std::uint64_t BrokerStats::* field, std::uint64_t by = 1) {
     std::scoped_lock lock(stats_mu);
@@ -113,92 +109,163 @@ struct Broker::Impl {
   }
 
   void send_to(std::uint64_t conn_id, const Message& m) {
-    {
-      std::scoped_lock lock(out_mu);
-      pending_out.emplace_back(conn_id, m);
-    }
-    wake();
+    replies.emplace_back(conn_id, m);
   }
 
-  // ---- IO thread ---------------------------------------------------------
+  // ---- event loop --------------------------------------------------------
 
-  struct Conn {
-    int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    std::vector<std::uint8_t> outbuf;
-  };
+  /// Closes a connection and lets the matcher release what it held.
+  void disconnect(std::uint64_t id) {
+    auto it = conns.find(id);
+    if (it == conns.end()) return;
+    ::close(it->second.fd);
+    conns.erase(it);
+    handle_disconnect(id);
+  }
 
-  void io_loop() {
-    std::map<std::uint64_t, Conn> conns;
-    std::uint64_t next_conn_id = 1;
+  void dispatch(std::uint64_t conn_id, const Message& msg) {
+    switch (msg.type) {
+      case MsgType::kHello:
+        break;  // identity is informational (pid / engine tag)
+      case MsgType::kArrive:
+        handle_arrive(conn_id, msg);
+        break;
+      case MsgType::kCancel:
+        handle_cancel(conn_id, msg);
+        break;
+      case MsgType::kDone:
+        handle_done(conn_id, msg);
+        break;
+      default:
+        bump(&BrokerStats::protocol_errors);  // server-only type
+        break;
+    }
+  }
 
-    auto disconnect = [&](std::uint64_t id) {
-      auto it = conns.find(id);
-      if (it == conns.end()) return;
-      ::close(it->second.fd);
-      conns.erase(it);
-      events.send(Event{Event::Kind::kDisconnect, id, {}});
-    };
-
-    // Parses complete frames out of a connection's input buffer.
-    // False on a protocol error (caller disconnects).
-    auto drain_frames = [&](std::uint64_t id, Conn& conn) -> bool {
-      std::size_t offset = 0;
-      while (conn.inbuf.size() - offset >= 4) {
-        const std::uint8_t* p = conn.inbuf.data() + offset;
-        const std::uint32_t payload =
-            static_cast<std::uint32_t>(p[0]) |
-            (static_cast<std::uint32_t>(p[1]) << 8) |
-            (static_cast<std::uint32_t>(p[2]) << 16) |
-            (static_cast<std::uint32_t>(p[3]) << 24);
-        if (payload < kHeaderSize || payload > kMaxFrame) {
-          bump(&BrokerStats::protocol_errors);
-          return false;
-        }
-        if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
-        std::optional<Message> msg = decode(p + 4, payload);
-        if (!msg) {
-          bump(&BrokerStats::protocol_errors);
-          return false;
-        }
-        events.send(Event{Event::Kind::kMessage, id, std::move(*msg)});
-        offset += 4 + payload;
+  /// Parses and dispatches the complete frames in a connection's input
+  /// buffer.  False on a protocol error (caller disconnects).
+  bool drain_frames(std::uint64_t id, Conn& conn) {
+    std::size_t offset = 0;
+    bool ok = true;
+    while (conn.inbuf.size() - offset >= 4) {
+      const std::uint8_t* p = conn.inbuf.data() + offset;
+      const std::uint32_t payload =
+          static_cast<std::uint32_t>(p[0]) |
+          (static_cast<std::uint32_t>(p[1]) << 8) |
+          (static_cast<std::uint32_t>(p[2]) << 16) |
+          (static_cast<std::uint32_t>(p[3]) << 24);
+      if (payload < kHeaderSize || payload > kMaxFrame) {
+        ok = false;
+        break;
       }
-      if (offset > 0) {
-        conn.inbuf.erase(conn.inbuf.begin(),
-                         conn.inbuf.begin() +
-                             static_cast<std::ptrdiff_t>(offset));
+      if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
+      std::optional<Message> msg = decode(p + 4, payload);
+      if (!msg) {
+        ok = false;
+        break;
       }
-      return true;
-    };
+      dispatch(id, *msg);
+      offset += 4 + payload;
+    }
+    if (!ok) bump(&BrokerStats::protocol_errors);
+    conn.inbuf.erase(conn.inbuf.begin(),
+                     conn.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
+    return ok;
+  }
 
-    auto flush_out = [&](std::uint64_t id, Conn& conn) -> bool {
-      while (!conn.outbuf.empty()) {
-        const ssize_t n =
-            ::write(conn.fd, conn.outbuf.data(), conn.outbuf.size());
-        if (n > 0) {
-          conn.outbuf.erase(conn.outbuf.begin(),
-                            conn.outbuf.begin() + n);
-          continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-        return false;  // peer gone mid-write
+  /// Reads everything pending on a connection and dispatches its
+  /// frames.  False on EOF, a hard error or a protocol error.
+  bool read_conn(std::uint64_t id, Conn& conn) {
+    bool eof = false;
+    for (;;) {
+      std::uint8_t buf[4096];
+      const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
+      if (n > 0) {
+        conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
+        continue;
       }
-      (void)id;
-      return true;
-    };
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      eof = true;  // EOF or hard error
+      break;
+    }
+    // Frames received *before* the EOF are handled even when both land
+    // in one poll round: a client that sends its final DONE and closes
+    // at once must complete cleanly, not count as a lost peer.
+    return drain_frames(id, conn) && !eof;
+  }
 
+  /// Writes as much of the output buffer as the socket takes.  False if
+  /// the peer is gone.
+  static bool flush_out(Conn& conn) {
+    while (!conn.outbuf.empty()) {
+      const ssize_t n =
+          ::send(conn.fd, conn.outbuf.data(), conn.outbuf.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        conn.outbuf.erase(conn.outbuf.begin(), conn.outbuf.begin() + n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      return false;  // peer gone mid-write
+    }
+    return true;
+  }
+
+  /// Moves the queued replies into the connection buffers and writes
+  /// them out.  A connection found dead while writing is disconnected,
+  /// which can queue more replies (GRANT(kPeerLost) to a survivor), so
+  /// repeat until a round queues none.
+  void flush_replies() {
+    std::vector<std::pair<std::uint64_t, Message>> out;
+    std::vector<std::uint64_t> dead;
+    do {
+      out.swap(replies);
+      for (const auto& [id, msg] : out) {
+        auto it = conns.find(id);
+        if (it == conns.end()) continue;  // recipient already gone
+        const std::vector<std::uint8_t> frame = encode(msg);
+        it->second.outbuf.insert(it->second.outbuf.end(), frame.begin(),
+                                 frame.end());
+      }
+      out.clear();
+      for (auto& [id, conn] : conns) {
+        if (!flush_out(conn)) dead.push_back(id);
+      }
+      for (std::uint64_t id : dead) disconnect(id);
+      dead.clear();
+    } while (!replies.empty());
+  }
+
+  void accept_all() {
+    for (;;) {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR) continue;
+        return;  // EAGAIN: accepted everything pending
+      }
+      if (!set_nonblocking(fd)) {
+        ::close(fd);
+        continue;
+      }
+      conns[next_conn_id++].fd = fd;
+      bump(&BrokerStats::connections);
+    }
+  }
+
+  /// The broker's one thread: each round reads and handles every
+  /// readable connection's frames, fires due deadlines, flushes the
+  /// replies all of that queued, then polls until the next deadline.
+  void run() {
     std::vector<pollfd> fds;
     std::vector<std::uint64_t> fd_ids;  // parallel to fds; 0 = not a conn
+    std::vector<std::uint64_t> dead;
 
     while (!stopping.load(std::memory_order_acquire)) {
       fds.clear();
-      fd_ids.clear();
       fds.push_back({listen_fd, POLLIN, 0});
-      fd_ids.push_back(0);
       fds.push_back({wake_r, POLLIN, 0});
-      fd_ids.push_back(0);
+      fd_ids.assign(2, 0);
       for (const auto& [id, conn] : conns) {
         short want = POLLIN;
         if (!conn.outbuf.empty()) want |= POLLOUT;
@@ -206,390 +273,303 @@ struct Broker::Impl {
         fd_ids.push_back(id);
       }
 
-      if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (::poll(fds.data(), fds.size(), next_wake_ms()) < 0) {
         if (errno == EINTR) continue;
         break;  // unrecoverable poll failure
       }
 
-      // Self-pipe: drain whatever woke us.
       if (fds[1].revents & POLLIN) {
         char buf[64];
         while (::read(wake_r, buf, sizeof(buf)) > 0) {
         }
       }
+      if (fds[0].revents & POLLIN) accept_all();
 
-      // Match-thread output: append to connection buffers, then write
-      // eagerly (POLLOUT is only needed for the EAGAIN tail).
-      {
-        std::vector<std::pair<std::uint64_t, Message>> out;
-        {
-          std::scoped_lock lock(out_mu);
-          out.swap(pending_out);
-        }
-        for (auto& [id, msg] : out) {
-          auto it = conns.find(id);
-          if (it == conns.end()) continue;  // recipient already gone
-          const std::vector<std::uint8_t> frame = encode(msg);
-          it->second.outbuf.insert(it->second.outbuf.end(), frame.begin(),
-                                   frame.end());
-        }
-      }
-
-      if (fds[0].revents & POLLIN) {
-        for (;;) {
-          const int fd = ::accept(listen_fd, nullptr, nullptr);
-          if (fd < 0) {
-            if (errno == EINTR) continue;
-            break;  // EAGAIN: accepted everything pending
-          }
-          if (!set_nonblocking(fd)) {
-            ::close(fd);
-            continue;
-          }
-          conns[next_conn_id++].fd = fd;
-          bump(&BrokerStats::connections);
-        }
-      }
-
-      std::vector<std::uint64_t> dead;
       for (std::size_t i = 2; i < fds.size(); ++i) {
-        const std::uint64_t id = fd_ids[i];
-        auto it = conns.find(id);
-        if (it == conns.end()) continue;
-        Conn& conn = it->second;
-        bool alive = true;
-        if (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-          bool eof = false;
-          for (;;) {
-            std::uint8_t buf[4096];
-            const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-            if (n > 0) {
-              conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
-              continue;
-            }
-            if (n < 0 && errno == EINTR) continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            eof = true;  // EOF or hard error
-            break;
-          }
-          // Drain frames received *before* the EOF even when both land
-          // in one poll round: a client that sends its final DONE and
-          // immediately closes must complete cleanly, not count as a
-          // lost peer (the disconnect event follows the drained frames).
-          alive = drain_frames(id, conn) && !eof;
+        if (!(fds[i].revents & (POLLIN | POLLERR | POLLHUP))) continue;
+        auto it = conns.find(fd_ids[i]);
+        if (it != conns.end() && !read_conn(it->first, it->second)) {
+          dead.push_back(it->first);
         }
-        if (alive && !conn.outbuf.empty()) alive = flush_out(id, conn);
-        if (!alive) dead.push_back(id);
       }
       for (std::uint64_t id : dead) disconnect(id);
+      dead.clear();
+
+      run_timers();
+      flush_replies();
     }
 
-    // Shutdown: every client sees EOF; closing the event channel is the
-    // match thread's stop signal (it drains queued events first).
+    // Shutdown: every client sees EOF.
     for (auto& [id, conn] : conns) ::close(conn.fd);
     conns.clear();
-    events.close();
   }
 
-  // ---- match thread ------------------------------------------------------
+  // ---- matching state machine --------------------------------------------
 
-  void match_loop() {
-    std::unordered_map<std::string, std::vector<Arrival>> postponed;
-    std::unordered_map<std::uint64_t, Group> groups;
-    // (conn_id, token) -> group id, for DONE routing.
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> in_group;
-    std::uint64_t next_group_id = 1;
-    std::uint64_t next_seq = 1;
+  void erase_group(std::uint64_t gid) {
+    auto it = groups.find(gid);
+    if (it == groups.end()) return;
+    for (const Member& m : it->second.members) {
+      in_group.erase({m.conn_id, m.token});
+    }
+    groups.erase(it);
+  }
 
-    auto erase_group = [&](std::uint64_t gid) {
-      auto it = groups.find(gid);
-      if (it == groups.end()) return;
-      for (const Member& m : it->second.members) {
-        in_group.erase({m.conn_id, m.token});
-      }
-      groups.erase(it);
-    };
+  // Grants the next undone rank (skipping lost/forced members) or
+  // retires the group.  `outcome` is what the grantee is told; a lost
+  // member anywhere in the group upgrades it to kPeerLost.
+  void grant_next(std::uint64_t gid, GrantOutcome outcome) {
+    auto it = groups.find(gid);
+    if (it == groups.end()) return;
+    Group& g = it->second;
+    const bool any_lost = std::any_of(
+        g.members.begin(), g.members.end(),
+        [](const Member& m) { return m.lost; });
+    if (any_lost && outcome == GrantOutcome::kOk) {
+      outcome = GrantOutcome::kPeerLost;
+    }
+    for (int r = g.granted + 1; r < static_cast<int>(g.members.size()); ++r) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      if (m.done) continue;
+      g.granted = r;
+      g.grant_deadline = SteadyClock::now() + options.grant_cap;
+      Message grant;
+      grant.type = MsgType::kGrant;
+      grant.token = m.token;
+      grant.rank = r;
+      grant.flags = static_cast<std::uint8_t>(outcome);
+      send_to(m.conn_id, grant);
+      return;
+    }
+    erase_group(gid);
+  }
 
-    // Grants the next undone rank (skipping lost/forced members) or
-    // retires the group.  `outcome` is what the grantee is told; a lost
-    // member anywhere in the group upgrades it to kPeerLost.
-    auto grant_next = [&](std::uint64_t gid, GrantOutcome outcome) {
-      auto it = groups.find(gid);
-      if (it == groups.end()) return;
-      Group& g = it->second;
-      const bool any_lost = std::any_of(
-          g.members.begin(), g.members.end(),
-          [](const Member& m) { return m.lost; });
-      if (any_lost && outcome == GrantOutcome::kOk) {
-        outcome = GrantOutcome::kPeerLost;
-      }
-      for (int r = g.granted + 1; r < static_cast<int>(g.members.size());
-           ++r) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        if (m.done) continue;
-        g.granted = r;
-        g.grant_deadline = SteadyClock::now() + options.grant_cap;
-        Message grant;
-        grant.type = MsgType::kGrant;
-        grant.token = m.token;
-        grant.rank = r;
-        grant.flags = static_cast<std::uint8_t>(outcome);
-        send_to(m.conn_id, grant);
-        return;
-      }
-      erase_group(gid);
-    };
+  void form_group(const std::string& name,
+                  std::vector<std::pair<int, Arrival>> ranked) {
+    const std::uint64_t gid = next_group_id++;
+    Group g;
+    g.name = name;
+    g.members.resize(ranked.size());
+    for (const auto& [r, a] : ranked) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      m.conn_id = a.conn_id;
+      m.token = a.token;
+      in_group[{a.conn_id, a.token}] = gid;
+      Message matched;
+      matched.type = MsgType::kMatched;
+      matched.token = a.token;
+      matched.a = gid;
+      matched.rank = r;
+      matched.arity = static_cast<std::int32_t>(ranked.size());
+      send_to(a.conn_id, matched);
+    }
+    groups.emplace(gid, std::move(g));
+    bump(&BrokerStats::matches);
+    grant_next(gid, GrantOutcome::kOk);
+  }
 
-    auto form_group = [&](const std::string& name,
-                          std::vector<std::pair<int, Arrival>> ranked) {
-      const std::uint64_t gid = next_group_id++;
-      Group g;
-      g.name = name;
-      g.members.resize(ranked.size());
-      for (const auto& [r, a] : ranked) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        m.conn_id = a.conn_id;
-        m.token = a.token;
-        in_group[{a.conn_id, a.token}] = gid;
-        Message matched;
-        matched.type = MsgType::kMatched;
-        matched.token = a.token;
-        matched.a = gid;
-        matched.rank = r;
-        matched.arity = static_cast<std::int32_t>(ranked.size());
-        send_to(a.conn_id, matched);
-      }
-      groups.emplace(gid, std::move(g));
-      bump(&BrokerStats::matches);
-      grant_next(gid, GrantOutcome::kOk);
-    };
+  void handle_arrive(std::uint64_t conn_id, const Message& msg) {
+    if (msg.arity < 2 || msg.arity > kMaxArity || msg.rank < 0 ||
+        msg.rank >= msg.arity || msg.name.empty()) {
+      bump(&BrokerStats::protocol_errors);
+      Message nak;
+      nak.type = MsgType::kCancelled;
+      nak.token = msg.token;
+      send_to(conn_id, nak);  // never leave the caller parked
+      return;
+    }
+    bump(&BrokerStats::arrivals);
+    Arrival arriving;
+    arriving.conn_id = conn_id;
+    arriving.token = msg.token;
+    arriving.rank = msg.rank;
+    arriving.arity = msg.arity;
+    arriving.scoped = (msg.flags & kFlagScoped) != 0;
+    arriving.deadline = SteadyClock::now() + std::chrono::milliseconds(msg.a);
+    arriving.seq = next_seq++;
 
-    auto handle_arrive = [&](std::uint64_t conn_id, const Message& msg) {
-      if (msg.arity < 2 || msg.arity > kMaxArity || msg.rank < 0 ||
-          msg.rank >= msg.arity || msg.name.empty()) {
-        bump(&BrokerStats::protocol_errors);
-        Message nak;
-        nak.type = MsgType::kCancelled;
-        nak.token = msg.token;
-        send_to(conn_id, nak);  // never leave the caller parked
-        return;
-      }
-      bump(&BrokerStats::arrivals);
-      Arrival arriving;
-      arriving.conn_id = conn_id;
-      arriving.token = msg.token;
-      arriving.rank = msg.rank;
-      arriving.arity = msg.arity;
-      arriving.scoped = (msg.flags & kFlagScoped) != 0;
-      arriving.deadline =
-          SteadyClock::now() + std::chrono::milliseconds(msg.a);
-      arriving.seq = next_seq++;
+    std::vector<Arrival>& waiting = postponed[msg.name];
 
-      std::vector<Arrival>& waiting = postponed[msg.name];
-
-      if (msg.arity == 2) {
-        // Prefer a peer from a *different* process (the reason the
-        // breakpoint is process-group scoped), fall back to any other
-        // postponement; earliest-postponed wins ties.
-        auto pick = [&](bool other_conn_only) -> std::size_t {
-          for (std::size_t i = 0; i < waiting.size(); ++i) {
-            if (waiting[i].arity != 2) continue;
-            if (other_conn_only && waiting[i].conn_id == conn_id) continue;
-            return i;
-          }
-          return waiting.size();
-        };
-        std::size_t idx = pick(true);
-        if (idx == waiting.size()) idx = pick(false);
-        if (idx == waiting.size()) {
-          waiting.push_back(arriving);
-          return;
-        }
-        Arrival peer = waiting[idx];
-        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(idx));
-        // Effective ranks mirror the in-process engine: declared if
-        // distinct, else the earlier-postponed thread goes first.
-        int peer_rank = peer.rank;
-        int my_rank = arriving.rank;
-        if (peer_rank == my_rank) {
-          peer_rank = 0;
-          my_rank = 1;
-        }
-        form_group(msg.name, {{peer_rank, peer}, {my_rank, arriving}});
-        return;
-      }
-
-      // k-ary: one waiter per rank other than ours, greedy with the
-      // different-process preference applied per rank.
-      std::vector<std::size_t> chosen;
-      std::vector<char> rank_taken(static_cast<std::size_t>(msg.arity), 0);
-      rank_taken[static_cast<std::size_t>(arriving.rank)] = 1;
-      for (int pass = 0; pass < 2; ++pass) {
+    if (msg.arity == 2) {
+      // Prefer a peer from a *different* process (the reason the
+      // breakpoint is process-group scoped), fall back to any other
+      // postponement; earliest-postponed wins ties.
+      auto pick = [&](bool other_conn_only) -> std::size_t {
         for (std::size_t i = 0; i < waiting.size(); ++i) {
-          const Arrival& w = waiting[i];
-          if (w.arity != msg.arity) continue;
-          if (w.rank < 0 || w.rank >= msg.arity) continue;
-          if (rank_taken[static_cast<std::size_t>(w.rank)]) continue;
-          if (pass == 0 && w.conn_id == conn_id) continue;
-          if (std::find(chosen.begin(), chosen.end(), i) != chosen.end()) {
-            continue;
-          }
-          rank_taken[static_cast<std::size_t>(w.rank)] = 1;
-          chosen.push_back(i);
+          if (waiting[i].arity != 2) continue;
+          if (other_conn_only && waiting[i].conn_id == conn_id) continue;
+          return i;
         }
-      }
-      if (chosen.size() + 1 < static_cast<std::size_t>(msg.arity)) {
+        return waiting.size();
+      };
+      std::size_t idx = pick(true);
+      if (idx == waiting.size()) idx = pick(false);
+      if (idx == waiting.size()) {
         waiting.push_back(arriving);
         return;
       }
-      std::vector<std::pair<int, Arrival>> ranked;
-      ranked.emplace_back(arriving.rank, arriving);
-      // Erase from the back so earlier indices stay valid.
-      std::sort(chosen.begin(), chosen.end());
-      for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
-        ranked.emplace_back(waiting[*it].rank, waiting[*it]);
-        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(*it));
+      Arrival peer = waiting[idx];
+      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(idx));
+      // Effective ranks mirror the in-process engine: declared if
+      // distinct, else the earlier-postponed thread goes first.
+      int peer_rank = peer.rank;
+      int my_rank = arriving.rank;
+      if (peer_rank == my_rank) {
+        peer_rank = 0;
+        my_rank = 1;
       }
-      form_group(msg.name, std::move(ranked));
-    };
+      form_group(msg.name, {{peer_rank, peer}, {my_rank, arriving}});
+      return;
+    }
 
-    auto handle_cancel = [&](std::uint64_t conn_id, const Message& msg) {
-      for (auto& [name, waiting] : postponed) {
-        auto it = std::find_if(waiting.begin(), waiting.end(),
-                               [&](const Arrival& a) {
-                                 return a.conn_id == conn_id &&
-                                        a.token == msg.token;
-                               });
-        if (it != waiting.end()) {
-          waiting.erase(it);
-          bump(&BrokerStats::cancellations);
-          Message ack;
-          ack.type = MsgType::kCancelled;
-          ack.token = msg.token;
-          send_to(conn_id, ack);
-          return;
+    // k-ary: one waiter per rank other than ours, greedy with the
+    // different-process preference applied per rank.
+    std::vector<std::size_t> chosen;
+    std::vector<char> rank_taken(static_cast<std::size_t>(msg.arity), 0);
+    rank_taken[static_cast<std::size_t>(arriving.rank)] = 1;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < waiting.size(); ++i) {
+        const Arrival& w = waiting[i];
+        if (w.arity != msg.arity) continue;
+        if (w.rank < 0 || w.rank >= msg.arity) continue;
+        if (rank_taken[static_cast<std::size_t>(w.rank)]) continue;
+        if (pass == 0 && w.conn_id == conn_id) continue;
+        if (std::find(chosen.begin(), chosen.end(), i) != chosen.end()) {
+          continue;
         }
+        rank_taken[static_cast<std::size_t>(w.rank)] = 1;
+        chosen.push_back(i);
       }
-      // Already matched (or unknown): the grant path owns it now.
-    };
+    }
+    if (chosen.size() + 1 < static_cast<std::size_t>(msg.arity)) {
+      waiting.push_back(arriving);
+      return;
+    }
+    std::vector<std::pair<int, Arrival>> ranked;
+    ranked.emplace_back(arriving.rank, arriving);
+    // Erase from the back so earlier indices stay valid.
+    std::sort(chosen.begin(), chosen.end());
+    for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
+      ranked.emplace_back(waiting[*it].rank, waiting[*it]);
+      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(*it));
+    }
+    form_group(msg.name, std::move(ranked));
+  }
 
-    auto handle_done = [&](std::uint64_t conn_id, const Message& msg) {
-      auto it = in_group.find({conn_id, msg.token});
-      if (it == in_group.end()) return;  // duplicate / after force-advance
-      const std::uint64_t gid = it->second;
-      auto git = groups.find(gid);
-      if (git == groups.end()) return;
-      Group& g = git->second;
-      for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
-        Member& m = g.members[static_cast<std::size_t>(r)];
-        if (m.conn_id != conn_id || m.token != msg.token) continue;
-        if (m.done) return;
-        m.done = true;
-        if (r == g.granted) grant_next(gid, GrantOutcome::kOk);
+  void handle_cancel(std::uint64_t conn_id, const Message& msg) {
+    for (auto& [name, waiting] : postponed) {
+      auto it = std::find_if(waiting.begin(), waiting.end(),
+                             [&](const Arrival& a) {
+                               return a.conn_id == conn_id &&
+                                      a.token == msg.token;
+                             });
+      if (it != waiting.end()) {
+        waiting.erase(it);
+        bump(&BrokerStats::cancellations);
+        Message ack;
+        ack.type = MsgType::kCancelled;
+        ack.token = msg.token;
+        send_to(conn_id, ack);
         return;
       }
-    };
-
-    auto handle_disconnect = [&](std::uint64_t conn_id) {
-      for (auto& [name, waiting] : postponed) {
-        waiting.erase(std::remove_if(waiting.begin(), waiting.end(),
-                                     [&](const Arrival& a) {
-                                       return a.conn_id == conn_id;
-                                     }),
-                      waiting.end());
-      }
-      std::vector<std::uint64_t> to_advance;
-      for (auto& [gid, g] : groups) {
-        bool granted_lost = false;
-        for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
-          Member& m = g.members[static_cast<std::size_t>(r)];
-          if (m.conn_id != conn_id || m.done) continue;
-          m.done = true;
-          m.lost = true;
-          bump(&BrokerStats::peer_lost);
-          if (r == g.granted) granted_lost = true;
-        }
-        if (granted_lost) to_advance.push_back(gid);
-      }
-      for (std::uint64_t gid : to_advance) {
-        grant_next(gid, GrantOutcome::kPeerLost);
-      }
-    };
-
-    auto run_timers = [&] {
-      const auto now = SteadyClock::now();
-      for (auto& [name, waiting] : postponed) {
-        for (std::size_t i = 0; i < waiting.size();) {
-          if (waiting[i].deadline > now) {
-            ++i;
-            continue;
-          }
-          bump(&BrokerStats::timeouts);
-          Message out;
-          out.type = MsgType::kTimeout;
-          out.token = waiting[i].token;
-          send_to(waiting[i].conn_id, out);
-          waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
-        }
-      }
-      std::vector<std::uint64_t> capped;
-      for (auto& [gid, g] : groups) {
-        if (g.granted >= 0 && g.grant_deadline <= now &&
-            !g.members[static_cast<std::size_t>(g.granted)].done) {
-          capped.push_back(gid);
-        }
-      }
-      for (std::uint64_t gid : capped) {
-        // The granted rank overran the cap (leaked guard / stalled
-        // process): advance past it so the group degrades to a delay.
-        Group& g = groups[gid];
-        g.members[static_cast<std::size_t>(g.granted)].done = true;
-        bump(&BrokerStats::forced_advances);
-        grant_next(gid, GrantOutcome::kCap);
-      }
-    };
-
-    auto next_wake = [&]() -> std::chrono::milliseconds {
-      auto earliest = SteadyClock::now() + kIdleTick;
-      for (const auto& [name, waiting] : postponed) {
-        for (const Arrival& a : waiting) {
-          earliest = std::min(earliest, a.deadline);
-        }
-      }
-      for (const auto& [gid, g] : groups) {
-        if (g.granted >= 0) earliest = std::min(earliest, g.grant_deadline);
-      }
-      const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(
-          earliest - SteadyClock::now());
-      return std::max(std::chrono::milliseconds(1), delta);
-    };
-
-    for (;;) {
-      std::optional<Event> ev = events.receive_for(next_wake());
-      if (!ev) {
-        if (events.closed()) break;  // closed and drained: shutdown
-      } else if (ev->kind == Event::Kind::kDisconnect) {
-        handle_disconnect(ev->conn_id);
-      } else {
-        switch (ev->msg.type) {
-          case MsgType::kHello:
-            break;  // identity is informational (pid / engine tag)
-          case MsgType::kArrive:
-            handle_arrive(ev->conn_id, ev->msg);
-            break;
-          case MsgType::kCancel:
-            handle_cancel(ev->conn_id, ev->msg);
-            break;
-          case MsgType::kDone:
-            handle_done(ev->conn_id, ev->msg);
-            break;
-          default:
-            bump(&BrokerStats::protocol_errors);  // server-only type
-            break;
-        }
-      }
-      run_timers();
     }
+    // Already matched (or unknown): the grant path owns it now.
+  }
+
+  void handle_done(std::uint64_t conn_id, const Message& msg) {
+    auto it = in_group.find({conn_id, msg.token});
+    if (it == in_group.end()) return;  // duplicate / after force-advance
+    const std::uint64_t gid = it->second;
+    auto git = groups.find(gid);
+    if (git == groups.end()) return;
+    Group& g = git->second;
+    for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
+      Member& m = g.members[static_cast<std::size_t>(r)];
+      if (m.conn_id != conn_id || m.token != msg.token) continue;
+      if (m.done) return;
+      m.done = true;
+      if (r == g.granted) grant_next(gid, GrantOutcome::kOk);
+      return;
+    }
+  }
+
+  void handle_disconnect(std::uint64_t conn_id) {
+    for (auto& [name, waiting] : postponed) {
+      waiting.erase(std::remove_if(waiting.begin(), waiting.end(),
+                                   [&](const Arrival& a) {
+                                     return a.conn_id == conn_id;
+                                   }),
+                    waiting.end());
+    }
+    std::vector<std::uint64_t> to_advance;
+    for (auto& [gid, g] : groups) {
+      bool granted_lost = false;
+      for (int r = 0; r < static_cast<int>(g.members.size()); ++r) {
+        Member& m = g.members[static_cast<std::size_t>(r)];
+        if (m.conn_id != conn_id || m.done) continue;
+        m.done = true;
+        m.lost = true;
+        bump(&BrokerStats::peer_lost);
+        if (r == g.granted) granted_lost = true;
+      }
+      if (granted_lost) to_advance.push_back(gid);
+    }
+    for (std::uint64_t gid : to_advance) {
+      grant_next(gid, GrantOutcome::kPeerLost);
+    }
+  }
+
+  void run_timers() {
+    const auto now = SteadyClock::now();
+    for (auto& [name, waiting] : postponed) {
+      for (std::size_t i = 0; i < waiting.size();) {
+        if (waiting[i].deadline > now) {
+          ++i;
+          continue;
+        }
+        bump(&BrokerStats::timeouts);
+        Message out;
+        out.type = MsgType::kTimeout;
+        out.token = waiting[i].token;
+        send_to(waiting[i].conn_id, out);
+        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    std::vector<std::uint64_t> capped;
+    for (auto& [gid, g] : groups) {
+      if (g.granted >= 0 && g.grant_deadline <= now &&
+          !g.members[static_cast<std::size_t>(g.granted)].done) {
+        capped.push_back(gid);
+      }
+    }
+    for (std::uint64_t gid : capped) {
+      // The granted rank overran the cap (leaked guard / stalled
+      // process): advance past it so the group degrades to a delay.
+      Group& g = groups[gid];
+      g.members[static_cast<std::size_t>(g.granted)].done = true;
+      bump(&BrokerStats::forced_advances);
+      grant_next(gid, GrantOutcome::kCap);
+    }
+  }
+
+  /// poll() timeout: until the earliest arrival or grant deadline
+  /// (rounded up, so the timer sweep finds it due), or -1 when none is
+  /// pending.
+  int next_wake_ms() const {
+    auto earliest = SteadyClock::time_point::max();
+    for (const auto& [name, waiting] : postponed) {
+      for (const Arrival& a : waiting) {
+        earliest = std::min(earliest, a.deadline);
+      }
+    }
+    for (const auto& [gid, g] : groups) {
+      if (g.granted >= 0) earliest = std::min(earliest, g.grant_deadline);
+    }
+    if (earliest == SteadyClock::time_point::max()) return -1;
+    const auto delta = std::chrono::ceil<std::chrono::milliseconds>(
+        earliest - SteadyClock::now());
+    return static_cast<int>(std::clamp<std::int64_t>(
+        delta.count(), 0, std::numeric_limits<int>::max()));
   }
 };
 
@@ -627,8 +607,7 @@ bool Broker::start() {
   impl_->listen_fd = fd;
   impl_->wake_r = pipe_fds[0];
   impl_->wake_w = pipe_fds[1];
-  impl_->io_thread = std::thread([this] { impl_->io_loop(); });
-  impl_->match_thread = std::thread([this] { impl_->match_loop(); });
+  impl_->loop_thread = std::thread([this] { impl_->run(); });
   impl_->started = true;
   return true;
 }
@@ -638,8 +617,7 @@ void Broker::stop() {
   impl_->started = false;
   impl_->stopping.store(true, std::memory_order_release);
   impl_->wake();
-  impl_->io_thread.join();     // closes conns, then closes the channel...
-  impl_->match_thread.join();  // ...which drains and stops the matcher
+  impl_->loop_thread.join();  // closes every connection on its way out
   ::close(impl_->listen_fd);
   ::close(impl_->wake_r);
   ::close(impl_->wake_w);

@@ -13,19 +13,21 @@
 // arrivals per name, pairs complementary ones, and releases the matched
 // group in rank order (GRANT r+1 follows DONE r).
 //
-// Two threads:
+// One thread runs one event loop that owns every fd and the protocol
+// state (postponed arrivals, matched groups, deadlines).  Each round:
 //
-//   * the IO thread owns every fd.  poll() over the listen socket, a
-//     self-pipe (for wakeups from stop() and the match thread), and all
-//     client connections; nonblocking reads assemble frames into
-//     events, nonblocking writes drain per-connection output buffers.
-//     EOF on a connection becomes a kDisconnected event.
+//   1. read every readable connection and handle its complete frames
+//      in order; a connection's EOF is handled after the frames that
+//      preceded it, dropping what it held;
+//   2. fire due deadlines (arrival timeouts, grant caps);
+//   3. flush the replies queued by 1 and 2 into the per-connection
+//      buffers and write them, again while a connection found dead
+//      in the write queues more (GRANT(kPeerLost) to a survivor);
+//   4. poll() the listen socket, the self-pipe (written only by stop())
+//      and every connection until the next deadline.
 //
-//   * the match thread owns the protocol state (postponed arrivals,
-//     matched groups, deadlines).  It consumes events from a bounded
-//     rt::Channel — whose close() is the shutdown signal, the exact
-//     close semantics tests/test_channel.cc pins down — and emits
-//     replies back through the IO thread.
+// A reply therefore leaves in the round that caused it, with no hop
+// between broker threads.
 //
 // Distributed failure modes handled here, not by callers:
 //
@@ -78,11 +80,11 @@ class Broker {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
 
-  /// Binds, listens and starts the IO + match threads.  False if the
+  /// Binds, listens and starts the event-loop thread.  False if the
   /// socket could not be created (path too long, bind failure).
   bool start();
 
-  /// Stops both threads, closes every connection (clients see EOF) and
+  /// Stops the event loop, closes every connection (clients see EOF) and
   /// unlinks the socket.  Idempotent; also run by the destructor.
   void stop();
 

@@ -166,7 +166,9 @@ std::string Trace::name_of(std::uint32_t id) {
   internal::Registry& reg = internal::registry();
   std::scoped_lock lock(reg.mu);
   if (id < reg.names.size() && !reg.names[id].empty()) return reg.names[id];
-  return "#" + std::to_string(id);
+  std::string name = std::to_string(id);
+  name.insert(0, 1, '#');
+  return name;
 }
 
 TraceSnapshot Trace::collect() {

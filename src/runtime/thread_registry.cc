@@ -49,7 +49,9 @@ std::string this_thread_name() {
     auto it = g_names.find(id);
     if (it != g_names.end()) return it->second;
   }
-  return "T" + std::to_string(id);
+  std::string name = std::to_string(id);
+  name.insert(0, 1, 'T');
+  return name;
 }
 
 std::string thread_name(ThreadId id) {

@@ -141,7 +141,7 @@ void rank_candidates(std::vector<Candidate>& candidates,
         c.site_a.basename() + "-" + std::to_string(c.site_a.line) + "-" +
         std::to_string(c.site_b.line));
     const int n = ++used[name];
-    if (n > 1) name += "-" + std::to_string(n);
+    if (n > 1) name.append("-").append(std::to_string(n));
     c.spec_name = std::move(name);
   }
 }

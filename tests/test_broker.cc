@@ -1,9 +1,10 @@
 // Trigger broker tests (src/broker): wire-protocol encode/decode, the
 // in-process broker/client protocol (match, rank order, timeout,
-// cancel, peer loss, grant cap, broker death), raw-socket protocol
-// errors, and fork-based cross-process smoke at the engine level — two
-// worker processes matching a scope=process-group breakpoint through a
-// real unix-domain socket, including the peer-death release path.
+// cancel, peer loss and its release latency, many connections at once,
+// grant cap, broker death), raw-socket protocol errors, and fork-based
+// cross-process smoke at the engine level — two worker processes
+// matching a scope=process-group breakpoint through a real unix-domain
+// socket, including the peer-death release path.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +17,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "broker/broker.h"
 #include "broker/client.h"
@@ -245,6 +249,111 @@ TEST(BrokerClientProtocolTest, ScopedPeerDeathReleasesSurvivorAsPeerLost) {
   EXPECT_GE(server.stats().peer_lost, 1u);
 
   survivor->shutdown();
+  server.stop();
+}
+
+TEST(BrokerClientProtocolTest, PeerLostGrantIsFlushedAtOnce) {
+  const std::string path = test_socket_path("peer-lost-latency");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  auto doomed = broker::BrokerClient::connect(path);
+  auto survivor = broker::BrokerClient::connect(path);
+  ASSERT_NE(doomed, nullptr);
+  ASSERT_NE(survivor, nullptr);
+
+  RemoteTriggerResult rd, rs;
+  SteadyClock::time_point released;
+  std::thread td([&] {
+    rd = doomed->trigger_remote(make_request("crash-fast", 0, 5000ms,
+                                             /*scoped=*/true));
+  });
+  std::thread ts([&] {
+    rs = survivor->trigger_remote(make_request("crash-fast", 1, 5000ms));
+    released = SteadyClock::now();
+  });
+
+  td.join();
+  ASSERT_EQ(rd.outcome, RemoteOutcome::kHit);
+  const auto shutdown_at = SteadyClock::now();
+  doomed->shutdown();
+  ts.join();
+
+  // The GRANT(kPeerLost) that the disconnect queues goes out in the
+  // same loop round, not after the next poll timeout (the grant cap is
+  // 2 s; nothing else is pending to wake the broker sooner).
+  EXPECT_EQ(rs.outcome, RemoteOutcome::kPeerLost);
+  EXPECT_LT(released - shutdown_at, 100ms);
+
+  survivor->shutdown();
+  server.stop();
+}
+
+TEST(BrokerClientProtocolTest, ManyConnectionsMatchPerNameInRankOrder) {
+  const std::string path = test_socket_path("many");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  constexpr int kPairs = 3;
+  constexpr int kHits = 200;
+  struct Pair {
+    std::shared_ptr<broker::BrokerClient> client[2];
+    std::mutex mu;
+    std::vector<int> released;  // ranks in release order, guarded by mu
+  };
+  Pair pairs[kPairs];
+  for (Pair& p : pairs) {
+    for (auto& c : p.client) {
+      c = broker::BrokerClient::connect(path);
+      ASSERT_NE(c, nullptr);
+    }
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kPairs; ++i) {
+    for (int rank = 0; rank < 2; ++rank) {
+      threads.emplace_back([&, i, rank] {
+        Pair& p = pairs[i];
+        const std::string name = "many-" + std::to_string(i);
+        for (int n = 0; n < kHits; ++n) {
+          // Scoped, so rank 1 is granted only once rank 0 has recorded
+          // its release and completed.
+          RemoteTriggerResult r = p.client[rank]->trigger_remote(
+              make_request(name, rank, 5000ms, /*scoped=*/true));
+          if (r.outcome != RemoteOutcome::kHit || r.rank != rank ||
+              r.complete == nullptr) {
+            failures.fetch_add(1);
+            return;
+          }
+          {
+            std::scoped_lock lock(p.mu);
+            p.released.push_back(rank);
+          }
+          r.complete();
+        }
+      });
+    }
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  for (Pair& p : pairs) {
+    ASSERT_EQ(p.released.size(), 2u * kHits);
+    for (std::size_t k = 0; k < p.released.size(); ++k) {
+      ASSERT_EQ(p.released[k], static_cast<int>(k % 2)) << "release " << k;
+    }
+  }
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.matches, static_cast<std::uint64_t>(kPairs * kHits));
+  EXPECT_EQ(stats.arrivals, static_cast<std::uint64_t>(2 * kPairs * kHits));
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.peer_lost, 0u);
+
+  for (Pair& p : pairs) {
+    for (auto& c : p.client) c->shutdown();
+  }
   server.stop();
 }
 

@@ -1,8 +1,8 @@
 // Close semantics of rt::Channel (runtime/channel.h), pinned down
-// because the broker's match thread uses close() as its shutdown
-// signal (src/broker/broker.cc): queued events must drain, blocked
-// parties must wake exactly once, and a drained closed channel must be
-// distinguishable from a timeout via closed().
+// because a consumer may use close() as its shutdown signal: queued
+// items must drain, blocked parties must wake exactly once, and a
+// drained closed channel must be distinguishable from a timeout via
+// closed().
 
 #include <gtest/gtest.h>
 
@@ -57,7 +57,7 @@ TEST(ChannelCloseTest, ItemsQueuedBeforeCloseDrainThenNullopt) {
   ASSERT_TRUE(ch.send(11));
   ASSERT_TRUE(ch.send(12));
   ch.close();
-  // The broker relies on this: shutdown must not drop in-flight events.
+  // Shutdown must not drop in-flight items.
   EXPECT_EQ(ch.receive(), std::optional<int>(10));
   EXPECT_EQ(ch.receive(), std::optional<int>(11));
   EXPECT_EQ(ch.receive(), std::optional<int>(12));
@@ -88,7 +88,7 @@ TEST(ChannelCloseTest, ReceiveForDistinguishesTimeoutFromCloseViaClosed) {
   EXPECT_EQ(ch.receive_for(5ms), std::nullopt);
   EXPECT_FALSE(ch.closed());
   // Drained close: nullopt immediately (no 1-hour park), closed() true —
-  // the exact check the broker's match loop makes to exit.
+  // the check a consumer loop makes to exit.
   ch.close();
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(ch.receive_for(3600s), std::nullopt);

@@ -19,6 +19,9 @@
 //                         trial passes iff a survivor was released as
 //                         peer-lost and nothing wedged.
 //
+// Exit status: 0 iff the observed race interval overlaps the predicted
+// one and every kill trial passed; 1 otherwise.
+//
 // fork discipline: trials run serially from this single-threaded
 // process (each trial forks its workers before starting its broker), so
 // --trial-jobs is ignored here.  A virtual clock cannot schedule
@@ -142,6 +145,10 @@ int main(int argc, char** argv) {
   std::printf("observed race CI %s predicted hit CI -> %s\n",
               in_interval ? "overlaps" : "MISSES",
               in_interval ? "OK" : "FAIL");
+  const bool kills_released = kill_ok == kill_runs;
+  std::printf("kill worker on hit: %d/%d survivors released as peer-lost "
+              "-> %s\n",
+              kill_ok, kill_runs, kills_released ? "OK" : "FAIL");
 
   bench::JsonReport report("prefork", config.time_scale);
   report.add("prefork/race-prob-with-bp", base.workers,
@@ -155,5 +162,5 @@ int main(int argc, char** argv) {
              "probability");
   report.flush(config.json_path);
 
-  return in_interval ? 0 : 1;
+  return in_interval && kills_released ? 0 : 1;
 }

@@ -25,8 +25,9 @@
 // fork discipline: workers are forked while the parent is still
 // single-threaded; only then does the parent start the Broker (whose
 // event-loop thread must never cross a fork).  Workers retry-connect to
-// the socket, attach a BrokerClient transport, and _exit without
-// running atexit handlers.
+// the socket, attach a BrokerClient transport (creating one starts no
+// thread: each worker's own callers read its grants), and _exit
+// without running atexit handlers.
 //
 // kill_worker_on_hit drives the peer-loss path end to end: worker 0
 // takes its breakpoint scoped and _exits(42) while still holding the

@@ -13,7 +13,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -142,37 +141,6 @@ struct Broker::Impl {
     }
   }
 
-  /// Parses and dispatches the complete frames in a connection's input
-  /// buffer.  False on a protocol error (caller disconnects).
-  bool drain_frames(std::uint64_t id, Conn& conn) {
-    std::size_t offset = 0;
-    bool ok = true;
-    while (conn.inbuf.size() - offset >= 4) {
-      const std::uint8_t* p = conn.inbuf.data() + offset;
-      const std::uint32_t payload =
-          static_cast<std::uint32_t>(p[0]) |
-          (static_cast<std::uint32_t>(p[1]) << 8) |
-          (static_cast<std::uint32_t>(p[2]) << 16) |
-          (static_cast<std::uint32_t>(p[3]) << 24);
-      if (payload < kHeaderSize || payload > kMaxFrame) {
-        ok = false;
-        break;
-      }
-      if (conn.inbuf.size() - offset < 4 + payload) break;  // partial
-      std::optional<Message> msg = decode(p + 4, payload);
-      if (!msg) {
-        ok = false;
-        break;
-      }
-      dispatch(id, *msg);
-      offset += 4 + payload;
-    }
-    if (!ok) bump(&BrokerStats::protocol_errors);
-    conn.inbuf.erase(conn.inbuf.begin(),
-                     conn.inbuf.begin() + static_cast<std::ptrdiff_t>(offset));
-    return ok;
-  }
-
   /// Reads everything pending on a connection and dispatches its
   /// frames.  False on EOF, a hard error or a protocol error.
   bool read_conn(std::uint64_t id, Conn& conn) {
@@ -192,7 +160,10 @@ struct Broker::Impl {
     // Frames received *before* the EOF are handled even when both land
     // in one poll round: a client that sends its final DONE and closes
     // at once must complete cleanly, not count as a lost peer.
-    return drain_frames(id, conn) && !eof;
+    const bool ok = drain_frames(
+        conn.inbuf, [&](const Message& msg) { dispatch(id, msg); });
+    if (!ok) bump(&BrokerStats::protocol_errors);
+    return ok && !eof;
   }
 
   /// Writes as much of the output buffer as the socket takes.  False if
@@ -355,13 +326,6 @@ struct Broker::Impl {
       m.conn_id = a.conn_id;
       m.token = a.token;
       in_group[{a.conn_id, a.token}] = gid;
-      Message matched;
-      matched.type = MsgType::kMatched;
-      matched.token = a.token;
-      matched.a = gid;
-      matched.rank = r;
-      matched.arity = static_cast<std::int32_t>(ranked.size());
-      send_to(a.conn_id, matched);
     }
     groups.emplace(gid, std::move(g));
     bump(&BrokerStats::matches);
@@ -473,7 +437,9 @@ struct Broker::Impl {
         return;
       }
     }
-    // Already matched (or unknown): the grant path owns it now.
+    // Already matched: the client's failsafe gave up on its grant, so
+    // complete the token as DONE would and let the group advance.
+    handle_done(conn_id, msg);
   }
 
   void handle_done(std::uint64_t conn_id, const Message& msg) {

@@ -7,11 +7,13 @@
 // semantics).  The broker listens on a unix-domain socket; each child
 // engine connects at startup (broker::BrokerClient), identifies itself
 // with its pid and engine tag, and then each remote postponement is one
-// ARRIVE -> {MATCHED+GRANT | TIMEOUT | CANCELLED} exchange (src/broker/
-// wire.h).  Matching is by (name, rank, arity) identity — the broker
+// ARRIVE -> {GRANT | TIMEOUT | CANCELLED} exchange (src/broker/wire.h;
+// kMatched is reserved and never sent — the GRANT carries the assigned
+// rank).  Matching is by (name, rank, arity) identity — the broker
 // plays exactly the role the slot mutex plays in-process: it serializes
 // arrivals per name, pairs complementary ones, and releases the matched
-// group in rank order (GRANT r+1 follows DONE r).
+// group in rank order (GRANT r+1 follows DONE r, or a CANCEL from a
+// rank whose client gave up on its grant).
 //
 // One thread runs one event loop that owns every fd and the protocol
 // state (postponed arrivals, matched groups, deadlines).  Each round:
@@ -27,7 +29,9 @@
 //      and every connection until the next deadline.
 //
 // A reply therefore leaves in the round that caused it, with no hop
-// between broker threads.
+// between broker threads, and the waiting caller reads it off its own
+// socket (broker/client.h): a scoped 2-ary hit wakes four threads — two
+// broker rounds and the two callers.
 //
 // Distributed failure modes handled here, not by callers:
 //

@@ -1,22 +1,57 @@
 #include "broker/client.h"
 
 #include <errno.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "broker/wire.h"
 
 namespace cbp::broker {
 
 using SteadyClock = std::chrono::steady_clock;
+
+namespace {
+
+enum class ReadResult { kData, kIdle, kClosed };
+
+/// Waits until `fd` is readable or `deadline` passes, then appends what
+/// one non-blocking recv takes to `out`.  kClosed on EOF or a hard error.
+ReadResult receive(int fd, SteadyClock::time_point deadline,
+                   std::vector<std::uint8_t>& out) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+      deadline - SteadyClock::now());
+  pollfd p{fd, POLLIN, 0};
+  const int ready = ::poll(
+      &p, 1,
+      static_cast<int>(std::clamp<std::int64_t>(
+          left.count(), 0, std::numeric_limits<int>::max())));
+  if (ready == 0 || (ready < 0 && errno == EINTR)) return ReadResult::kIdle;
+  if (ready < 0) return ReadResult::kClosed;
+  std::uint8_t buf[4096];
+  const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+  if (n > 0) {
+    out.insert(out.end(), buf, buf + n);
+    return ReadResult::kData;
+  }
+  if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return ReadResult::kIdle;
+  }
+  return ReadResult::kClosed;  // EOF or hard error
+}
+
+}  // namespace
 
 struct BrokerClient::Impl {
   /// One in-flight postponement, keyed by token.  All fields guarded by
@@ -28,91 +63,112 @@ struct BrokerClient::Impl {
     bool failed = false;
     int rank = -1;
     GrantOutcome outcome = GrantOutcome::kOk;
+
+    [[nodiscard]] bool terminal() const {
+      return granted || timed_out || cancelled || failed;
+    }
   };
 
   int fd = -1;
-  std::thread reader;
 
   std::mutex write_mu;
-  bool write_closed = false;  // guarded by write_mu
+  bool write_closed = false;  // guarded by write_mu; set once by shutdown()
 
   std::mutex mu;
   std::condition_variable cv;
   std::unordered_map<std::uint64_t, Pending> pending;  // guarded by mu
-  bool reader_dead = false;                            // guarded by mu
-  bool shutting_down = false;                          // guarded by mu
+  bool reading = false;  // guarded by mu: a caller holds the read role
+  bool dead = false;     // guarded by mu: EOF, failed write or shutdown
+  std::vector<std::uint8_t> inbuf;  // touched only by the read role
 
   std::atomic<std::uint64_t> next_token{1};
 
-  bool send(const Message& m) {
-    std::scoped_lock lock(write_mu);
-    if (write_closed || fd < 0) return false;
-    return write_frame(fd, m);
+  /// The broker is gone: every in-flight postponement not yet settled
+  /// fails, and every later one fails before it is sent.  Caller holds
+  /// mu.
+  void fail_all() {
+    dead = true;
+    for (auto& [token, p] : pending) {
+      if (!p.terminal()) p.failed = true;
+    }
+    cv.notify_all();
   }
 
-  void reader_loop() {
-    for (;;) {
-      std::optional<Message> msg = read_frame(fd);
-      if (!msg) break;  // EOF, error, or malformed frame
-      switch (msg->type) {
-        case MsgType::kMatched: {
-          // Informational: the grant is what releases the caller.
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) it->second.rank = msg->rank;
-          break;
-        }
-        case MsgType::kGrant: {
-          bool orphaned = false;
-          {
-            std::scoped_lock lock(mu);
-            auto it = pending.find(msg->token);
-            if (it == pending.end()) {
-              orphaned = true;  // failsafe already gave up on this token
-            } else {
-              it->second.granted = true;
-              it->second.rank = msg->rank;
-              it->second.outcome = static_cast<GrantOutcome>(msg->flags);
-              cv.notify_all();
-            }
-          }
-          if (orphaned) {
-            // Complete on the group's behalf so the remaining ranks
-            // advance instead of waiting for the broker's grant cap.
-            Message done;
-            done.type = MsgType::kDone;
-            done.token = msg->token;
-            send(done);
-          }
-          break;
-        }
-        case MsgType::kTimeout: {
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) {
-            it->second.timed_out = true;
-            cv.notify_all();
-          }
-          break;
-        }
-        case MsgType::kCancelled: {
-          std::scoped_lock lock(mu);
-          auto it = pending.find(msg->token);
-          if (it != pending.end()) {
-            it->second.cancelled = true;
-            cv.notify_all();
-          }
-          break;
-        }
-        default:
-          break;  // client-only or unknown: ignore
-      }
+  /// Writes one frame.  A failed write means the broker has gone, so
+  /// the client fails every in-flight call too.
+  bool send(const Message& m) {
+    bool ok = false;
+    {
+      std::scoped_lock lock(write_mu);
+      ok = !write_closed && write_frame(fd, m);
     }
-    // Broker gone: every in-flight and future postponement fails fast.
-    std::scoped_lock lock(mu);
-    reader_dead = true;
-    for (auto& [token, p] : pending) p.failed = true;
-    cv.notify_all();
+    if (!ok) {
+      std::scoped_lock lock(mu);
+      fail_all();
+    }
+    return ok;
+  }
+
+  /// Records one broker frame on its token; a frame for a token no
+  /// longer tracked (its failsafe gave up) is dropped.  Caller holds mu.
+  void apply(const Message& msg) {
+    auto it = pending.find(msg.token);
+    if (it == pending.end()) return;
+    Pending& p = it->second;
+    switch (msg.type) {
+      case MsgType::kGrant:
+        p.granted = true;
+        p.rank = msg.rank;
+        p.outcome = static_cast<GrantOutcome>(msg.flags);
+        break;
+      case MsgType::kTimeout:
+        p.timed_out = true;
+        break;
+      case MsgType::kCancelled:
+        p.cancelled = true;
+        break;
+      default:
+        break;  // client-only, reserved or unknown: ignore
+    }
+  }
+
+  /// Waits until `token` is terminal or `deadline` passes; returns
+  /// whether it is terminal.  `lock` holds mu.  While no other caller
+  /// holds the read role, this one takes it: it polls the socket until
+  /// its own deadline (never a blocking read, so a broker that stops
+  /// mid-frame cannot hold it past the deadline), records every whole
+  /// frame received, and wakes the callers whose tokens those settled.
+  /// It hands the role on once its own token is terminal or its
+  /// deadline has passed.
+  bool await(std::uint64_t token, SteadyClock::time_point deadline,
+             std::unique_lock<std::mutex>& lock) {
+    const Pending& mine = pending.at(token);  // only its caller erases it
+    bool holding = false;
+    while (!mine.terminal() && SteadyClock::now() < deadline) {
+      if (reading && !holding) {
+        cv.wait_until(lock, deadline);
+        continue;
+      }
+      reading = holding = true;
+      lock.unlock();
+      const ReadResult got = receive(fd, deadline, inbuf);
+      lock.lock();
+      if (got == ReadResult::kIdle) continue;
+      bool others = false;
+      const bool framed = drain_frames(inbuf, [&](const Message& msg) {
+        apply(msg);
+        others |= msg.token != token;
+      });
+      if (others) cv.notify_all();
+      // A malformed frame leaves the stream unparseable: drop it as if
+      // the broker had gone.
+      if (got == ReadResult::kClosed || !framed) fail_all();
+    }
+    if (holding) {
+      reading = false;
+      cv.notify_all();
+    }
+    return mine.terminal();
   }
 };
 
@@ -154,9 +210,6 @@ std::shared_ptr<BrokerClient> BrokerClient::connect(
     client->impl_->fd = -1;
     return nullptr;
   }
-
-  Impl* impl = client->impl_.get();  // joined before impl_ is destroyed
-  impl->reader = std::thread([impl] { impl->reader_loop(); });
   return client;
 }
 
@@ -165,26 +218,27 @@ BrokerClient::~BrokerClient() { shutdown(); }
 void BrokerClient::shutdown() {
   if (!impl_) return;
   {
-    std::scoped_lock lock(impl_->mu);
-    if (impl_->shutting_down) return;
-    impl_->shutting_down = true;
-  }
-  {
     std::scoped_lock lock(impl_->write_mu);
+    if (impl_->write_closed) return;
     impl_->write_closed = true;
   }
-  if (impl_->fd >= 0) ::shutdown(impl_->fd, SHUT_RDWR);  // wakes the reader
-  if (impl_->reader.joinable()) impl_->reader.join();
-  if (impl_->fd >= 0) {
-    ::close(impl_->fd);
-    impl_->fd = -1;
+  if (impl_->fd < 0) return;  // connect() failed: nothing was in flight
+  {
+    std::unique_lock lock(impl_->mu);
+    impl_->fail_all();
+    // Wake a caller polling in the read role, and close the fd only once
+    // it has handed the role back.
+    ::shutdown(impl_->fd, SHUT_RDWR);
+    impl_->cv.wait(lock, [&] { return !impl_->reading; });
   }
+  ::close(impl_->fd);
+  impl_->fd = -1;
 }
 
 bool BrokerClient::connected() const {
   if (!impl_) return false;
   std::scoped_lock lock(impl_->mu);
-  return !impl_->reader_dead && !impl_->shutting_down;
+  return !impl_->dead;
 }
 
 RemoteTriggerResult BrokerClient::trigger_remote(
@@ -196,7 +250,7 @@ RemoteTriggerResult BrokerClient::trigger_remote(
       impl_->next_token.fetch_add(1, std::memory_order_relaxed);
   {
     std::scoped_lock lock(impl_->mu);
-    if (impl_->reader_dead || impl_->shutting_down) return result;
+    if (impl_->dead) return result;
     impl_->pending.emplace(token, Impl::Pending{});
   }
 
@@ -221,22 +275,14 @@ RemoteTriggerResult BrokerClient::trigger_remote(
   Impl::Pending snapshot;
   {
     std::unique_lock lock(impl_->mu);
-    const bool terminal = impl_->cv.wait_until(lock, deadline, [&] {
-      auto it = impl_->pending.find(token);
-      if (it == impl_->pending.end()) return true;  // defensive
-      const Impl::Pending& p = it->second;
-      return p.granted || p.timed_out || p.cancelled || p.failed;
-    });
+    const bool terminal = impl_->await(token, deadline, lock);
     auto it = impl_->pending.find(token);
-    if (it != impl_->pending.end()) {
-      snapshot = it->second;
-      impl_->pending.erase(it);
-    } else {
-      snapshot.failed = true;
-    }
+    snapshot = it->second;
+    impl_->pending.erase(it);
     if (!terminal) {
-      // Failsafe expired: disown the token (a late GRANT is answered
-      // with DONE by the reader) and tell the broker we are gone.
+      // Failsafe expired: disown the token and tell the broker, which
+      // completes it if it was matched so the rest of its group
+      // advances.  A late GRANT finds no token and is dropped.
       lock.unlock();
       Message cancel;
       cancel.type = MsgType::kCancel;

@@ -3,19 +3,30 @@
 // broker (src/broker/broker.h).
 //
 // One connection per client, one client per process (typically created
-// right after fork and handed to Engine::set_transport).  A background
-// reader thread demultiplexes broker frames to in-flight postponements
-// by token; trigger_remote is fully synchronous from the engine's point
-// of view: arrive, park, and come back with a terminal outcome.
+// right after fork and handed to Engine::set_transport).  Creating a
+// client starts no thread: a caller waiting in trigger_remote reads the
+// broker's replies itself.  One caller at a time holds the read role;
+// it polls the socket until its own deadline, records every whole frame
+// against its token, wakes the callers whose tokens settled, and hands
+// the role on once its own token is terminal.  With one call in flight
+// the caller reads its own GRANT, so no thread sits between the socket
+// and the caller.  Replies are GRANT (carrying the assigned rank),
+// TIMEOUT and CANCELLED; kMatched is reserved and never sent.
+// trigger_remote is fully synchronous from the engine's point of view:
+// arrive, park, and come back with a terminal outcome.
 //
 // Liveness guarantees (core/transport.h's contract):
 //   * the postponement bound is enforced broker-side, but a client-side
 //     failsafe (timeout + kGrantSlack) also runs, so a dead or wedged
-//     broker turns into kError, never a hang;
-//   * broker EOF fails every in-flight and future postponement with
-//     kError immediately (the engine then counts them cancelled);
-//   * a GRANT for a token the client no longer tracks (failsafe fired
-//     first) is answered with DONE so the rest of the group advances.
+//     broker turns into kError, never a hang — the read role polls
+//     against the deadline and never blocks in a read;
+//   * broker EOF, seen by whichever caller holds the read role, fails
+//     every in-flight postponement with kError at once (the engine then
+//     counts them cancelled); a failed write (the broker has gone while
+//     no call was reading) does the same, and never raises SIGPIPE;
+//   * a caller whose failsafe gives up sends CANCEL, and the broker
+//     completes a matched token as if DONE had come, so the rest of the
+//     group advances; a GRANT arriving after that is dropped.
 #pragma once
 
 #include <chrono>
@@ -36,9 +47,8 @@ class BrokerClient : public TransportPolicy,
   static constexpr std::chrono::milliseconds kGrantSlack{10000};
 
   /// Connects to the broker socket, retrying for up to `retry_for`
-  /// (workers typically start concurrently with the broker).  Sends the
-  /// HELLO identity frame and starts the reader thread.  Null on
-  /// failure.
+  /// (workers typically start concurrently with the broker) and sends
+  /// the HELLO identity frame.  Starts no thread.  Null on failure.
   static std::shared_ptr<BrokerClient> connect(
       const std::string& socket_path,
       std::chrono::milliseconds retry_for = std::chrono::milliseconds(5000),
@@ -53,9 +63,13 @@ class BrokerClient : public TransportPolicy,
       const RemoteTriggerRequest& request) override;
 
   /// Closes the connection; all in-flight postponements fail with
-  /// kError.  Idempotent; also run by the destructor.
+  /// kError.  Wakes a caller polling in the read role and closes the fd
+  /// once the role is free.  Idempotent; also run by the destructor.
   void shutdown();
 
+  /// False once a call has seen the broker's EOF or a failed write, or
+  /// after shutdown().  An idle client learns of a dead broker only on
+  /// its next call, which then fails at once.
   [[nodiscard]] bool connected() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "broker/wire.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -81,6 +82,30 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size) {
   return m;
 }
 
+bool drain_frames(std::vector<std::uint8_t>& buf,
+                  const std::function<void(const Message&)>& on_message) {
+  std::size_t offset = 0;
+  bool ok = true;
+  while (buf.size() - offset >= 4) {
+    const std::uint8_t* p = buf.data() + offset;
+    const std::uint32_t payload = get_u32(p);
+    if (payload < kHeaderSize || payload > kMaxFrame) {
+      ok = false;
+      break;
+    }
+    if (buf.size() - offset < 4 + payload) break;  // partial
+    std::optional<Message> msg = decode(p + 4, payload);
+    if (!msg) {
+      ok = false;
+      break;
+    }
+    on_message(*msg);
+    offset += 4 + payload;
+  }
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(offset));
+  return ok;
+}
+
 bool read_exact(int fd, void* buf, std::size_t size) {
   auto* p = static_cast<std::uint8_t*>(buf);
   while (size > 0) {
@@ -100,7 +125,7 @@ bool read_exact(int fd, void* buf, std::size_t size) {
 bool write_exact(int fd, const void* buf, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(buf);
   while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
+    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
     if (n > 0) {
       p += n;
       size -= static_cast<std::size_t>(n);

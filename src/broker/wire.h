@@ -21,12 +21,17 @@
 //   kArrive     client -> broker: one postponement.  a = timeout in ms,
 //               rank/arity declared, flags bit 0 = scoped, name set.
 //   kCancel     client -> broker: give up on `token` (failsafe expiry).
+//               A postponed token is dropped and acked with kCancelled;
+//               a matched one is completed as kDone would, so its
+//               group advances.
 //   kDone       client -> broker: `token`'s guarded instruction is over;
 //               the broker may grant the next rank.
-//   kMatched    broker -> client: `token` matched; rank = assigned rank,
-//               a = group id.
-//   kGrant      broker -> client: `token` may proceed.  flags =
-//               GrantOutcome.
+//   kMatched    reserved, never sent: a match is announced by the
+//               kGrant that releases rank 0, and every kGrant carries
+//               the assigned rank.  Still decodes, so the numbering of
+//               the types after it stays put.
+//   kGrant      broker -> client: `token` may proceed.  rank = assigned
+//               rank, flags = GrantOutcome.
 //   kTimeout    broker -> client: `token` parked its full bound unmatched.
 //   kCancelled  broker -> client: ack of kCancel.
 //
@@ -38,6 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,19 +95,30 @@ std::vector<std::uint8_t> encode(const Message& m);
 /// truncated or oversized payload or an unknown message type.
 std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 
-// ---- fd helpers ----------------------------------------------------------
-// Blocking-fd companions used by the client (the broker's IO loop is
-// nonblocking and keeps its own buffers).  Both retry on EINTR and
-// resume partial transfers; false means EOF or a hard error.
+/// Splits the complete frames at the front of `buf` (bytes as received,
+/// length prefixes included), hands each decoded message to `on_message`
+/// in order, and erases the bytes consumed; a trailing partial frame
+/// stays for the next read.  False on an oversized or malformed frame
+/// (the frames before it are still delivered).  Both ends read through
+/// this: the broker per connection, the client in whichever caller
+/// holds its read role.
+bool drain_frames(std::vector<std::uint8_t>& buf,
+                  const std::function<void(const Message&)>& on_message);
+
+// ---- socket helpers --------------------------------------------------------
+// Blocking-socket companions.  Both retry on EINTR and resume partial
+// transfers; false means EOF or a hard error.  Writes use
+// send(MSG_NOSIGNAL): a peer that has gone is an EPIPE here, never a
+// SIGPIPE that kills the writing process.
 
 bool read_exact(int fd, void* buf, std::size_t size);
 bool write_exact(int fd, const void* buf, std::size_t size);
 
-/// Reads one full frame from a blocking fd.  nullopt on EOF, error, or
-/// a malformed frame.
+/// Reads one full frame from a blocking socket.  nullopt on EOF, error,
+/// or a malformed frame.
 std::optional<Message> read_frame(int fd);
 
-/// Writes one full frame to a blocking fd.
+/// Writes one full frame to a blocking socket.
 bool write_frame(int fd, const Message& m);
 
 }  // namespace cbp::broker

@@ -1,7 +1,9 @@
 // Trigger broker tests (src/broker): wire-protocol encode/decode, the
 // in-process broker/client protocol (match, rank order, timeout,
 // cancel, peer loss and its release latency, many connections at once,
-// grant cap, broker death), raw-socket protocol errors, and fork-based
+// callers sharing a client's read role, grant cap, broker death and
+// writes after it), raw-socket protocol errors and CANCEL of a granted
+// token, and fork-based
 // cross-process smoke at the engine level — two worker processes
 // matching a scope=process-group breakpoint through a real unix-domain
 // socket, including the peer-death release path.
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -421,6 +424,146 @@ TEST(BrokerClientProtocolTest, BrokerDeathFailsInFlightPostponement) {
   a->shutdown();
 }
 
+TEST(BrokerClientProtocolTest, CompleteAfterBrokerStopFailsWithoutSigpipe) {
+  const std::string path = test_socket_path("complete-after-stop");
+  auto server = std::make_unique<broker::Broker>(
+      broker::BrokerOptions{path, 2000ms});
+  ASSERT_TRUE(server->start());
+
+  auto a = broker::BrokerClient::connect(path);
+  auto b = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  RemoteTriggerResult rb;
+  std::thread tb([&] {
+    rb = b->trigger_remote(make_request("gone", 1, 5000ms, /*scoped=*/true));
+  });
+  RemoteTriggerResult ra =
+      a->trigger_remote(make_request("gone", 0, 5000ms, /*scoped=*/true));
+  ASSERT_EQ(ra.outcome, RemoteOutcome::kHit);
+  ASSERT_TRUE(ra.complete != nullptr);
+
+  server->stop();  // rank 1 is still parked for its grant: it sees EOF
+  tb.join();
+  EXPECT_EQ(rb.outcome, RemoteOutcome::kError);
+
+  // Rank 0's DONE now goes to a socket whose peer has closed: the write
+  // fails and the client is marked dead, instead of SIGPIPE killing the
+  // process.
+  ra.complete();
+  EXPECT_FALSE(a->connected());
+  EXPECT_EQ(a->trigger_remote(make_request("gone", 0, 100ms)).outcome,
+            RemoteOutcome::kError);
+  a->shutdown();
+  b->shutdown();
+}
+
+TEST(BrokerClientProtocolTest, IdleClientFailsFastAfterBrokerStops) {
+  const std::string path = test_socket_path("idle-after-stop");
+  auto server = std::make_unique<broker::Broker>(
+      broker::BrokerOptions{path, 2000ms});
+  ASSERT_TRUE(server->start());
+
+  auto a = broker::BrokerClient::connect(path);
+  ASSERT_NE(a, nullptr);
+  // One full exchange, so the connection is known to work.
+  EXPECT_EQ(a->trigger_remote(make_request("idle", 0, 20ms)).outcome,
+            RemoteOutcome::kTimeout);
+
+  server->stop();  // no call in flight: nobody is reading the socket
+  const auto start = SteadyClock::now();
+  const RemoteTriggerResult r =
+      a->trigger_remote(make_request("idle", 0, 5000ms));
+  const auto elapsed = SteadyClock::now() - start;
+
+  EXPECT_EQ(r.outcome, RemoteOutcome::kError);
+  EXPECT_LT(elapsed, 100ms);
+  EXPECT_FALSE(a->connected());
+  a->shutdown();
+}
+
+TEST(BrokerClientProtocolTest, SharedClientsPassTheReadRoleInRankOrder) {
+  const std::string path = test_socket_path("shared");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  // Four callers per client, two per name on each: one caller at a time
+  // reads a client's socket, so grants meant for its waiting neighbours
+  // are read by whoever holds the read role.
+  constexpr int kClients = 2;
+  constexpr int kThreadsPerClient = 4;
+  constexpr int kNames = 2;
+  constexpr int kPerName = 400;  // arrivals per name; even, so all pair
+  std::shared_ptr<broker::BrokerClient> clients[kClients];
+  for (auto& c : clients) {
+    c = broker::BrokerClient::connect(path);
+    ASSERT_NE(c, nullptr);
+  }
+  struct Log {
+    std::atomic<int> tickets{0};
+    std::mutex mu;
+    std::vector<int> released;  // assigned ranks in release order
+  };
+  Log logs[kNames];
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    for (int t = 0; t < kThreadsPerClient; ++t) {
+      threads.emplace_back([&, c, t] {
+        Log& log = logs[t % kNames];
+        const std::string bp = "shared-" + std::to_string(t % kNames);
+        // Any two arrivals of a name pair up, so the name's budget of
+        // arrivals is shared: a per-thread count could leave one thread
+        // with arrivals nobody else is left to match.
+        while (log.tickets.fetch_add(1) < kPerName) {
+          // Equal declared ranks: the broker ranks each pair by arrival.
+          // Scoped, so rank 1 is granted only once rank 0 has recorded
+          // its release and completed.
+          RemoteTriggerResult r = clients[c]->trigger_remote(
+              make_request(bp, 0, 5000ms, /*scoped=*/true));
+          if (r.outcome != RemoteOutcome::kHit || r.rank < 0 || r.rank > 1 ||
+              r.complete == nullptr) {
+            failures.fetch_add(1);
+            return;
+          }
+          {
+            std::scoped_lock lock(log.mu);
+            log.released.push_back(r.rank);
+          }
+          r.complete();
+        }
+      });
+    }
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  for (Log& log : logs) {
+    ASSERT_EQ(log.released.size(), static_cast<std::size_t>(kPerName));
+    // Several pairs of one name can be in flight at once, so check the
+    // order as a prefix property: no rank 1 is released before a rank 0
+    // of its own.
+    int zeros = 0;
+    int ones = 0;
+    for (std::size_t k = 0; k < log.released.size(); ++k) {
+      (log.released[k] == 0 ? zeros : ones) += 1;
+      ASSERT_LE(ones, zeros) << "release " << k;
+    }
+    EXPECT_EQ(zeros, ones);
+  }
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.peer_lost, 0u);
+  EXPECT_EQ(stats.forced_advances, 0u);
+  EXPECT_EQ(stats.matches, static_cast<std::uint64_t>(kNames * kPerName / 2));
+
+  for (auto& c : clients) c->shutdown();
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Raw-socket protocol behaviour (no BrokerClient in the way)
 // ---------------------------------------------------------------------------
@@ -508,6 +651,66 @@ TEST(BrokerRawWireTest, OversizedFrameDropsTheConnection) {
   EXPECT_GE(server.stats().protocol_errors, 1u);
 
   ::close(fd);
+  server.stop();
+}
+
+TEST(BrokerRawWireTest, CancelAfterGrantAdvancesTheGroup) {
+  const std::string path = test_socket_path("cancel-granted");
+  broker::BrokerOptions options;
+  options.socket_path = path;
+  options.grant_cap = 3000ms;
+  broker::Broker server(options);
+  ASSERT_TRUE(server.start());
+  const int fd0 = raw_connect(path);
+  const int fd1 = raw_connect(path);
+  ASSERT_GE(fd0, 0);
+  ASSERT_GE(fd1, 0);
+
+  broker::Message arrive;
+  arrive.type = broker::MsgType::kArrive;
+  arrive.a = 30000;
+  arrive.arity = 2;
+  arrive.flags = broker::kFlagScoped;
+  arrive.name = "cancel-granted-bp";
+  arrive.token = 1;
+  arrive.rank = 0;
+  ASSERT_TRUE(broker::write_frame(fd0, arrive));
+  arrive.token = 2;
+  arrive.rank = 1;
+  ASSERT_TRUE(broker::write_frame(fd1, arrive));
+
+  // Skips any frame before the GRANT.
+  auto read_grant = [](int fd) {
+    for (;;) {
+      std::optional<broker::Message> m = broker::read_frame(fd);
+      if (!m || m->type == broker::MsgType::kGrant) return m;
+    }
+  };
+  const auto g0 = read_grant(fd0);
+  ASSERT_TRUE(g0.has_value());
+  EXPECT_EQ(g0->token, 1u);
+  EXPECT_EQ(g0->rank, 0);
+
+  // Rank 0 gives up on its grant, as a client's failsafe does: the
+  // broker completes the token, and rank 1 goes next without waiting
+  // out the grant cap.
+  broker::Message cancel;
+  cancel.type = broker::MsgType::kCancel;
+  cancel.token = 1;
+  const auto cancelled_at = SteadyClock::now();
+  ASSERT_TRUE(broker::write_frame(fd0, cancel));
+  const auto g1 = read_grant(fd1);
+  const auto waited = SteadyClock::now() - cancelled_at;
+
+  ASSERT_TRUE(g1.has_value());
+  EXPECT_EQ(g1->token, 2u);
+  EXPECT_EQ(g1->rank, 1);
+  EXPECT_EQ(g1->flags, static_cast<std::uint8_t>(broker::GrantOutcome::kOk));
+  EXPECT_LT(waited, 1000ms);
+  EXPECT_EQ(server.stats().forced_advances, 0u);
+
+  ::close(fd0);
+  ::close(fd1);
   server.stop();
 }
 

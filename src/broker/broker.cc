@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "broker/wire.h"
+#include "core/pattern.h"
 
 namespace cbp::broker {
 namespace {
@@ -45,9 +46,7 @@ struct Broker::Impl {
     std::uint64_t token = 0;
     int rank = 0;
     int arity = 2;
-    bool scoped = false;
     SteadyClock::time_point deadline;
-    std::uint64_t seq = 0;  ///< arrival order (rank tie-break, like §3)
   };
 
   struct Member {
@@ -58,7 +57,6 @@ struct Broker::Impl {
   };
 
   struct Group {
-    std::string name;
     std::vector<Member> members;  ///< indexed by assigned rank
     int granted = -1;             ///< rank currently holding the grant
     SteadyClock::time_point grant_deadline;
@@ -91,7 +89,6 @@ struct Broker::Impl {
   // (conn_id, token) -> group id, for DONE routing.
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> in_group;
   std::uint64_t next_group_id = 1;
-  std::uint64_t next_seq = 1;
   // Replies queued by the handlers this round, flushed before the poll.
   std::vector<std::pair<std::uint64_t, Message>> replies;
 
@@ -315,23 +312,6 @@ struct Broker::Impl {
     erase_group(gid);
   }
 
-  void form_group(const std::string& name,
-                  std::vector<std::pair<int, Arrival>> ranked) {
-    const std::uint64_t gid = next_group_id++;
-    Group g;
-    g.name = name;
-    g.members.resize(ranked.size());
-    for (const auto& [r, a] : ranked) {
-      Member& m = g.members[static_cast<std::size_t>(r)];
-      m.conn_id = a.conn_id;
-      m.token = a.token;
-      in_group[{a.conn_id, a.token}] = gid;
-    }
-    groups.emplace(gid, std::move(g));
-    bump(&BrokerStats::matches);
-    grant_next(gid, GrantOutcome::kOk);
-  }
-
   void handle_arrive(std::uint64_t conn_id, const Message& msg) {
     if (msg.arity < 2 || msg.arity > kMaxArity || msg.rank < 0 ||
         msg.rank >= msg.arity || msg.name.empty()) {
@@ -348,76 +328,48 @@ struct Broker::Impl {
     arriving.token = msg.token;
     arriving.rank = msg.rank;
     arriving.arity = msg.arity;
-    arriving.scoped = (msg.flags & kFlagScoped) != 0;
     arriving.deadline = SteadyClock::now() + std::chrono::milliseconds(msg.a);
-    arriving.seq = next_seq++;
 
+    // §3's rank rule (core/pattern.h).  The global predicate cannot be
+    // evaluated here, so any waiting arrival of the same arity may join;
+    // one from a *different* process (the reason the breakpoint is
+    // process-group scoped) is preferred, then the earliest postponed.
     std::vector<Arrival>& waiting = postponed[msg.name];
-
-    if (msg.arity == 2) {
-      // Prefer a peer from a *different* process (the reason the
-      // breakpoint is process-group scoped), fall back to any other
-      // postponement; earliest-postponed wins ties.
-      auto pick = [&](bool other_conn_only) -> std::size_t {
-        for (std::size_t i = 0; i < waiting.size(); ++i) {
-          if (waiting[i].arity != 2) continue;
-          if (other_conn_only && waiting[i].conn_id == conn_id) continue;
-          return i;
-        }
-        return waiting.size();
-      };
-      std::size_t idx = pick(true);
-      if (idx == waiting.size()) idx = pick(false);
-      if (idx == waiting.size()) {
-        waiting.push_back(arriving);
-        return;
-      }
-      Arrival peer = waiting[idx];
-      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(idx));
-      // Effective ranks mirror the in-process engine: declared if
-      // distinct, else the earlier-postponed thread goes first.
-      int peer_rank = peer.rank;
-      int my_rank = arriving.rank;
-      if (peer_rank == my_rank) {
-        peer_rank = 0;
-        my_rank = 1;
-      }
-      form_group(msg.name, {{peer_rank, peer}, {my_rank, arriving}});
-      return;
+    std::vector<Arrival*> candidates;
+    for (Arrival& w : waiting) {
+      if (w.conn_id != conn_id) candidates.push_back(&w);
     }
-
-    // k-ary: one waiter per rank other than ours, greedy with the
-    // different-process preference applied per rank.
-    std::vector<std::size_t> chosen;
-    std::vector<char> rank_taken(static_cast<std::size_t>(msg.arity), 0);
-    rank_taken[static_cast<std::size_t>(arriving.rank)] = 1;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t i = 0; i < waiting.size(); ++i) {
-        const Arrival& w = waiting[i];
-        if (w.arity != msg.arity) continue;
-        if (w.rank < 0 || w.rank >= msg.arity) continue;
-        if (rank_taken[static_cast<std::size_t>(w.rank)]) continue;
-        if (pass == 0 && w.conn_id == conn_id) continue;
-        if (std::find(chosen.begin(), chosen.end(), i) != chosen.end()) {
-          continue;
-        }
-        rank_taken[static_cast<std::size_t>(w.rank)] = 1;
-        chosen.push_back(i);
-      }
+    for (Arrival& w : waiting) {
+      if (w.conn_id == conn_id) candidates.push_back(&w);
     }
-    if (chosen.size() + 1 < static_cast<std::size_t>(msg.arity)) {
+    std::vector<Arrival*> by_rank;
+    const int mine = pick_rendezvous(
+        candidates, arriving.rank, arriving.arity,
+        [&](const Arrival& w, const std::vector<Arrival*>&) {
+          return w.arity == arriving.arity;
+        },
+        by_rank);
+    if (mine < 0) {
       waiting.push_back(arriving);
       return;
     }
-    std::vector<std::pair<int, Arrival>> ranked;
-    ranked.emplace_back(arriving.rank, arriving);
-    // Erase from the back so earlier indices stay valid.
-    std::sort(chosen.begin(), chosen.end());
-    for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
-      ranked.emplace_back(waiting[*it].rank, waiting[*it]);
-      waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(*it));
+    by_rank[static_cast<std::size_t>(mine)] = &arriving;
+
+    const std::uint64_t gid = next_group_id++;
+    Group& g = groups[gid];
+    for (const Arrival* a : by_rank) {
+      g.members.push_back({a->conn_id, a->token});
+      in_group[{a->conn_id, a->token}] = gid;
     }
-    form_group(msg.name, std::move(ranked));
+    // Back to front, so the arrivals not yet checked keep their address.
+    for (std::size_t i = waiting.size(); i-- > 0;) {
+      if (std::find(by_rank.begin(), by_rank.end(), &waiting[i]) !=
+          by_rank.end()) {
+        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+    bump(&BrokerStats::matches);
+    grant_next(gid, GrantOutcome::kOk);
   }
 
   void handle_cancel(std::uint64_t conn_id, const Message& msg) {

@@ -11,9 +11,12 @@
 // kMatched is reserved and never sent — the GRANT carries the assigned
 // rank).  Matching is by (name, rank, arity) identity — the broker
 // plays exactly the role the slot mutex plays in-process: it serializes
-// arrivals per name, pairs complementary ones, and releases the matched
-// group in rank order (GRANT r+1 follows DONE r, or a CANCEL from a
-// rank whose client gave up on its grant).
+// arrivals per name, picks complementary ones by the in-process rank
+// rule (`pick_rendezvous`, core/pattern.h; the global predicate cannot
+// cross processes, so any waiting arrival of the same arity may join,
+// one from another connection first), and releases the matched group in
+// rank order (GRANT r+1 follows DONE r, or a CANCEL from a rank whose
+// client gave up on its grant).
 //
 // One thread runs one event loop that owns every fd and the protocol
 // state (postponed arrivals, matched groups, deadlines).  Each round:

@@ -391,34 +391,15 @@ void PatternMatcher::build_hit(Run& run, std::size_t caller_pos,
   }
   run.pending.clear();
 
-  const int arity = static_cast<int>(run.participants.size()) + 1;
-  auto group = std::make_shared<internal::GroupState>(arity);
-  group->name_id = name_id_;
-  group->match_time = rt::clock_now();
-  out.info.arity = arity;
-  out.info.threads.assign(static_cast<std::size_t>(arity), 0);
   // Release ranks follow event-consumption order; the caller's event
   // was consumed at position `caller_pos`, so participants consumed
-  // after it (the cascade) shift one rank down.
-  const int caller_rank = static_cast<int>(caller_pos);
-  for (std::size_t i = 0; i < run.participants.size(); ++i) {
-    internal::Waiter* w = run.participants[i];
-    const int r = i < caller_pos ? static_cast<int>(i)
-                                 : static_cast<int>(i) + 1;
-    w->matched = true;
-    w->matched_rank = r;
-    w->group = group;
-    group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
-    out.info.threads[static_cast<std::size_t>(r)] = w->tid;
-    out.matched.push_back(w);
-  }
-  group->uses_guard[static_cast<std::size_t>(caller_rank)] = scoped ? 1 : 0;
-  out.info.threads[static_cast<std::size_t>(caller_rank)] = tid;
-  out.info.name = bt.name();
-  out.info.description = bt.describe();
-  out.kind = Outcome::Kind::kHit;
-  out.group = std::move(group);
-  out.rank = caller_rank;
+  // after it (the cascade) shift one rank down.  The run is erased
+  // below, so its participant list becomes the hit's rank table.
+  run.participants.insert(
+      run.participants.begin() + static_cast<std::ptrdiff_t>(caller_pos),
+      nullptr);
+  publish_hit(run.participants, static_cast<int>(caller_pos), tid, scoped, bt,
+              name_id_, out);
   out.progress = run.progress;
 
   const std::uint64_t done = run.id;
@@ -543,95 +524,69 @@ PatternMatcher::Outcome PatternMatcher::match_rendezvous(
     int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id) {
   Outcome out;
   out.kind = Outcome::Kind::kPark;
-  // Candidate waiters: same arity, different thread, not yet taken.
-  // predicate_global is user code, but it must be evaluated while the
-  // peer is quiescent in the Postponed set — the slot mutex is exactly
-  // what guarantees that, so predicates are required to be pure and
-  // non-blocking (documented in btrigger.h).
-  // Selected waiter per rank; a 2-ary call that parks allocates none.
+  // Who may join: a waiter of the same arity, not yet taken, on a thread
+  // no chosen member uses, compatible with the arriving trigger and
+  // pairwise with the members already chosen.  predicate_global is user
+  // code, but it must be evaluated while the peer is quiescent in the
+  // Postponed set — the slot mutex is exactly what guarantees that, so
+  // predicates are required to be pure and non-blocking (documented in
+  // btrigger.h).
+  const auto joins = [&](const internal::Waiter& w,
+                         const std::vector<internal::Waiter*>& chosen) {
+    if (w.matched || w.cancelled || w.arity != arity || w.tid == my_tid) {
+      return false;
+    }
+    for (const internal::Waiter* c : chosen) {
+      if (c != nullptr && c->tid == w.tid) return false;
+    }
+    if (!bt.predicate_global(*w.trigger)) return false;
+    for (const internal::Waiter* c : chosen) {
+      if (c != nullptr && !c->trigger->predicate_global(*w.trigger)) {
+        return false;
+      }
+    }
+    return true;
+  };
   std::vector<internal::Waiter*> by_rank;
-  int mine = rank;
-  if (arity == 2) {
-    internal::Waiter* peer = nullptr;
-    for (internal::Waiter* w : postponed) {
-      if (w->matched || w->cancelled || w->arity != 2 || w->tid == my_tid) {
-        continue;
-      }
-      if (!bt.predicate_global(*w->trigger)) continue;
-      peer = w;
-      break;
-    }
-    if (peer == nullptr) return out;
-    // Effective ranks: declared if distinct; otherwise the postponed
-    // (earlier) thread is ordered first.
-    int peer_rank = peer->rank;
-    if (peer_rank == mine) {
-      peer_rank = 0;
-      mine = 1;
-    }
-    by_rank.assign(2, nullptr);
-    by_rank[static_cast<std::size_t>(peer_rank)] = peer;
-  } else {
-    // k-ary rendezvous: need one waiter per rank other than ours, all
-    // from distinct threads, each compatible with the arriving trigger
-    // and pairwise compatible with each other (greedy selection).
-    by_rank.assign(static_cast<std::size_t>(arity), nullptr);
-    std::vector<rt::ThreadId> used_tids{my_tid};
-    for (internal::Waiter* w : postponed) {
-      if (w->matched || w->cancelled || w->arity != arity) continue;
-      if (w->rank < 0 || w->rank >= arity || w->rank == rank) continue;
-      if (by_rank[static_cast<std::size_t>(w->rank)] != nullptr) continue;
-      if (std::find(used_tids.begin(), used_tids.end(), w->tid) !=
-          used_tids.end()) {
-        continue;
-      }
-      if (!bt.predicate_global(*w->trigger)) continue;
-      bool pairwise_ok = true;
-      for (internal::Waiter* other : by_rank) {
-        if (other != nullptr &&
-            !other->trigger->predicate_global(*w->trigger)) {
-          pairwise_ok = false;
-          break;
-        }
-      }
-      if (!pairwise_ok) continue;
-      by_rank[static_cast<std::size_t>(w->rank)] = w;
-      used_tids.push_back(w->tid);
-    }
-    for (int r = 0; r < arity; ++r) {
-      if (r != rank && by_rank[static_cast<std::size_t>(r)] == nullptr) {
-        return out;
-      }
-    }
-  }
+  const int mine = pick_rendezvous(postponed, rank, arity, joins, by_rank);
+  if (mine >= 0) publish_hit(by_rank, mine, my_tid, scoped, bt, name_id, out);
+  return out;
+}
 
+void PatternMatcher::publish_hit(const std::vector<internal::Waiter*>& members,
+                                 int mine, rt::ThreadId tid, bool scoped,
+                                 BTrigger& bt, std::uint32_t name_id,
+                                 Outcome& out) {
   // Each rank's scoped-ness is fixed here, before any participant can
-  // observe the group: a waiter's comes from its Waiter record, ours
-  // from the trigger call itself.  await_turn never writes it, so a
-  // rank can never read a flag the owner hadn't published yet.
+  // observe the group: a waiter's comes from its Waiter record, the
+  // caller's from the trigger call itself.  await_turn never writes it,
+  // so a rank can never read a flag the owner hadn't published yet.
+  const int arity = static_cast<int>(members.size());
   auto group = std::make_shared<internal::GroupState>(arity);
-  group->uses_guard[static_cast<std::size_t>(mine)] = scoped ? 1 : 0;
-  out.info.arity = arity;
-  out.info.threads.assign(static_cast<std::size_t>(arity), 0);
-  out.info.threads[static_cast<std::size_t>(mine)] = my_tid;
-  for (int r = 0; r < arity; ++r) {
-    internal::Waiter* w = by_rank[static_cast<std::size_t>(r)];
-    if (w == nullptr) continue;
-    w->matched = true;
-    w->matched_rank = r;
-    w->group = group;
-    group->uses_guard[static_cast<std::size_t>(r)] = w->scoped ? 1 : 0;
-    out.matched.push_back(w);
-    out.info.threads[static_cast<std::size_t>(r)] = w->tid;
-  }
   group->name_id = name_id;
   group->match_time = rt::clock_now();
   out.info.name = bt.name();
   out.info.description = bt.describe();
+  out.info.arity = arity;
+  out.info.threads.assign(members.size(), 0);
+  for (int r = 0; r < arity; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    if (r == mine) {
+      group->uses_guard[ri] = scoped ? 1 : 0;
+      out.info.threads[ri] = tid;
+      continue;
+    }
+    internal::Waiter* w = members[ri];
+    w->matched = true;
+    w->matched_rank = r;
+    w->group = group;
+    group->uses_guard[ri] = w->scoped ? 1 : 0;
+    out.info.threads[ri] = w->tid;
+    out.matched.push_back(w);
+  }
   out.kind = Outcome::Kind::kHit;
   out.group = std::move(group);
   out.rank = mine;
-  return out;
 }
 
 void PatternMatcher::await_turn(internal::GroupState& group, int rank,

@@ -51,8 +51,10 @@
 // The classic 2-site and k-ary rendezvous are the degenerate
 // single-step pattern: `match_rendezvous` returns the same Outcome as
 // `on_event` (a hit, or park), so the engine runs one matcher step and
-// one park/release tail for both; `await_turn` is the shared rank-order
-// release protocol.
+// one park/release tail for both; `publish_hit` publishes both kinds of
+// hit and `await_turn` is the shared rank-order release protocol.  The
+// rendezvous rank rule, `pick_rendezvous`, is the broker's too
+// (src/broker): only the candidates' order and who may join differ.
 #pragma once
 
 #include <chrono>
@@ -129,6 +131,37 @@ struct Waiter {
 };
 
 }  // namespace internal
+
+/// The rendezvous rank rule (paper §3, with §2's k-ary form), shared by
+/// the in-process matcher and the broker.  Walks `candidates` — postponed
+/// arrivals, each with a declared `rank`, in the caller's order of
+/// preference — and takes, first fit, one per rank other than the
+/// caller's declared `rank`.  A candidate takes its declared rank, but at
+/// arity 2 an equal declared rank goes to the earlier postponement: the
+/// candidate takes rank 0 and the caller rank 1.  `joins(c, by_rank)` is
+/// the caller's test of whether `c` may join the candidates chosen so far
+/// (`by_rank`, null where open).  Returns the caller's effective rank,
+/// with `by_rank[r]` the candidate taking rank r (null at the caller's),
+/// or -1 when no complete group exists.  `by_rank` must be empty on entry
+/// and is sized at the first pick, so an arity-2 call that parks
+/// allocates nothing.
+template <typename Candidate, typename Joins>
+int pick_rendezvous(const std::vector<Candidate*>& candidates, int rank,
+                    int arity, Joins&& joins,
+                    std::vector<Candidate*>& by_rank) {
+  int open = arity - 1;
+  for (Candidate* c : candidates) {
+    const bool tie = arity == 2 && c->rank == rank;
+    if (c->rank < 0 || c->rank >= arity || (c->rank == rank && !tie)) continue;
+    const auto r = static_cast<std::size_t>(tie ? 0 : c->rank);
+    if (!by_rank.empty() && by_rank[r] != nullptr) continue;
+    if (!joins(*c, by_rank)) continue;
+    by_rank.resize(static_cast<std::size_t>(arity));
+    by_rank[r] = c;
+    if (--open == 0) return tie ? 1 : rank;
+  }
+  return -1;
+}
 
 /// Information passed to the hit observer (one call per hit, made by the
 /// last-arriving participant, outside all engine locks).
@@ -284,11 +317,9 @@ class PatternMatcher {
   // ---- the degenerate single-step pattern: classic rendezvous --------
 
   /// Tries to assemble a full rendezvous group around `bt` from
-  /// `postponed`.  Called with the slot mutex held; `rank` must lie in
-  /// [0, arity).  Returns kHit — `group` (name_id, match_time and every
-  /// rank's uses_guard fixed before publication), the arriving thread's
-  /// `rank`, the observer's `info`, and the selected waiters (marked
-  /// matched) in `matched` — or kPark when no complete group exists.
+  /// `postponed` (pick_rendezvous, in arrival order).  Called with the
+  /// slot mutex held; `rank` must lie in [0, arity).  Returns the
+  /// published hit (publish_hit) or kPark when no complete group exists.
   static Outcome match_rendezvous(
       const std::vector<internal::Waiter*>& postponed, BTrigger& bt, int rank,
       int arity, bool scoped, rt::ThreadId my_tid, std::uint32_t name_id);
@@ -337,6 +368,14 @@ class PatternMatcher {
   }
   void build_hit(Run& run, std::size_t caller_pos, rt::ThreadId tid,
                  bool scoped, BTrigger& bt, Outcome& out);
+  /// Publishes a hit into `out` (kHit): `members[r]` is the parked
+  /// waiter taking rank r, null at the caller's rank `mine`.  Builds the
+  /// group with name_id, match_time and every rank's uses_guard fixed
+  /// before any participant can observe it, fills in the observer's
+  /// `info`, and marks the waiters matched with their ranks (`matched`).
+  static void publish_hit(const std::vector<internal::Waiter*>& members,
+                          int mine, rt::ThreadId tid, bool scoped,
+                          BTrigger& bt, std::uint32_t name_id, Outcome& out);
 
   std::shared_ptr<const PatternSpec> spec_;
   std::uint32_t name_id_ = obs::kNoName;

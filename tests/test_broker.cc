@@ -1,9 +1,10 @@
 // Trigger broker tests (src/broker): wire-protocol encode/decode, the
 // in-process broker/client protocol (match, rank order, timeout,
 // cancel, peer loss and its release latency, many connections at once,
-// callers sharing a client's read role, grant cap, broker death and
-// writes after it), raw-socket protocol errors and CANCEL of a granted
-// token, and fork-based
+// callers sharing a client's read role, a 3-ary group, grant cap,
+// broker death and writes after it), raw-socket protocol errors, CANCEL
+// of a granted token and a k-ary pick's preference for other
+// connections, and fork-based
 // cross-process smoke at the engine level — two worker processes
 // matching a scope=process-group breakpoint through a real unix-domain
 // socket, including the peer-death release path.
@@ -564,6 +565,53 @@ TEST(BrokerClientProtocolTest, SharedClientsPassTheReadRoleInRankOrder) {
   server.stop();
 }
 
+TEST(BrokerClientProtocolTest, ThreeClientsMatchAKaryGroupInRankOrder) {
+  const std::string path = test_socket_path("kary");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+
+  constexpr int kArity = 3;
+  std::shared_ptr<broker::BrokerClient> clients[kArity];
+  for (auto& c : clients) {
+    c = broker::BrokerClient::connect(path);
+    ASSERT_NE(c, nullptr);
+  }
+  std::mutex mu;
+  std::vector<int> released;  // assigned ranks in release order
+  RemoteTriggerResult results[kArity];
+  std::vector<std::thread> threads;
+  // Highest rank first, so the group completes on rank 0's arrival.
+  for (int rank = kArity - 1; rank >= 0; --rank) {
+    threads.emplace_back([&, rank] {
+      RemoteTriggerResult r = clients[rank]->trigger_remote(
+          make_request("kary-bp", rank, 5000ms, /*scoped=*/true, kArity));
+      if (r.hit()) {
+        std::scoped_lock lock(mu);
+        released.push_back(r.rank);
+      }
+      // Scoped: the next rank is granted only after this DONE.
+      if (r.complete) r.complete();
+      results[rank] = std::move(r);
+    });
+    std::this_thread::sleep_for(20ms);
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int rank = 0; rank < kArity; ++rank) {
+    EXPECT_EQ(results[rank].outcome, RemoteOutcome::kHit) << "rank " << rank;
+    EXPECT_EQ(results[rank].rank, rank);
+  }
+  EXPECT_EQ(released, (std::vector<int>{0, 1, 2}));
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.arrivals, 3u);
+  EXPECT_EQ(stats.matches, 1u);
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.forced_advances, 0u);
+
+  for (auto& c : clients) c->shutdown();
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Raw-socket protocol behaviour (no BrokerClient in the way)
 // ---------------------------------------------------------------------------
@@ -711,6 +759,94 @@ TEST(BrokerRawWireTest, CancelAfterGrantAdvancesTheGroup) {
 
   ::close(fd0);
   ::close(fd1);
+  server.stop();
+}
+
+TEST(BrokerRawWireTest, KaryGroupPrefersArrivalsFromOtherConnections) {
+  const std::string path = test_socket_path("kary-other-conn");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  const int fd_a = raw_connect(path);
+  const int fd_b = raw_connect(path);
+  ASSERT_GE(fd_a, 0);
+  ASSERT_GE(fd_b, 0);
+  // A lost frame fails the test instead of hanging it.
+  const timeval recv_timeout{5, 0};
+  for (int fd : {fd_a, fd_b}) {
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                           sizeof(recv_timeout)),
+              0);
+  }
+
+  // One arrival at a time, each handled before the next is sent, so the
+  // broker sees them in exactly this order.
+  std::uint64_t sent = 0;
+  auto arrive = [&](int fd, std::uint64_t token, int rank,
+                    std::uint64_t timeout_ms) {
+    broker::Message m;
+    m.type = broker::MsgType::kArrive;
+    m.token = token;
+    m.a = timeout_ms;
+    m.rank = rank;
+    m.arity = 3;
+    m.name = "kary-other-conn-bp";
+    ASSERT_TRUE(broker::write_frame(fd, m));
+    ++sent;
+    const auto deadline = SteadyClock::now() + 5s;
+    while (server.stats().arrivals < sent && SteadyClock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    ASSERT_EQ(server.stats().arrivals, sent);
+  };
+  auto done = [](int fd, std::uint64_t token) {
+    broker::Message m;
+    m.type = broker::MsgType::kDone;
+    m.token = token;
+    ASSERT_TRUE(broker::write_frame(fd, m));
+  };
+
+  // A:r1 waits first, yet A:r2 completes the group with B's r1 and r0:
+  // a rank goes to a waiting arrival of another connection before one
+  // of the completing arrival's own.
+  arrive(fd_a, /*token=*/11, /*rank=*/1, /*timeout_ms=*/400);
+  arrive(fd_b, 21, 1, 30000);
+  arrive(fd_b, 20, 0, 30000);
+  arrive(fd_a, 12, 2, 30000);
+
+  for (const auto& [token, rank] : {std::pair{20u, 0}, std::pair{21u, 1}}) {
+    const auto grant = broker::read_frame(fd_b);
+    ASSERT_TRUE(grant.has_value());
+    EXPECT_EQ(grant->type, broker::MsgType::kGrant);
+    EXPECT_EQ(grant->token, token);
+    EXPECT_EQ(grant->rank, rank);
+    done(fd_b, grant->token);
+  }
+  // A sees its r2 granted last and its r1 time out, in either order.
+  bool granted = false;
+  bool timed_out = false;
+  for (int i = 0; i < 2; ++i) {
+    const auto m = broker::read_frame(fd_a);
+    ASSERT_TRUE(m.has_value());
+    if (m->type == broker::MsgType::kGrant) {
+      EXPECT_EQ(m->token, 12u);
+      EXPECT_EQ(m->rank, 2);
+      done(fd_a, m->token);
+      granted = true;
+    } else {
+      EXPECT_EQ(m->type, broker::MsgType::kTimeout);
+      EXPECT_EQ(m->token, 11u);
+      timed_out = true;
+    }
+  }
+  EXPECT_TRUE(granted);
+  EXPECT_TRUE(timed_out);
+  const broker::BrokerStats stats = server.stats();
+  EXPECT_EQ(stats.matches, 1u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+
+  ::close(fd_a);
+  ::close(fd_b);
   server.stop();
 }
 

@@ -19,6 +19,7 @@
 
 #include "broker/wire.h"
 #include "core/pattern.h"
+#include "runtime/spin.h"
 
 namespace cbp::broker {
 namespace {
@@ -241,7 +242,18 @@ struct Broker::Impl {
         fd_ids.push_back(id);
       }
 
-      if (::poll(fds.data(), fds.size(), next_wake_ms()) < 0) {
+      // Spin, then park (runtime/spin.h): a client's next frame usually
+      // comes within microseconds of the replies just flushed, so poll
+      // without blocking for up to kSpinBudget before sleeping.
+      int ready = 0;
+      if (next_wake_ms() != 0) {
+        rt::spin_until(rt::spin_stop(rt::kSpinBudget), [&] {
+          ready = ::poll(fds.data(), fds.size(), 0);
+          return ready != 0;
+        });
+      }
+      if (ready == 0) ready = ::poll(fds.data(), fds.size(), next_wake_ms());
+      if (ready < 0) {
         if (errno == EINTR) continue;
         break;  // unrecoverable poll failure
       }

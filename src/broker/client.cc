@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "broker/wire.h"
+#include "runtime/spin.h"
 
 namespace cbp::broker {
 
@@ -28,19 +29,29 @@ enum class ReadResult { kData, kIdle, kClosed };
 
 /// Waits until `fd` is readable or `deadline` passes, then appends what
 /// one non-blocking recv takes to `out`.  kClosed on EOF or a hard error.
+/// Spin, then park (runtime/spin.h): the recv is retried for up to
+/// kSpinBudget of the deadline before the caller sleeps in poll().
 ReadResult receive(int fd, SteadyClock::time_point deadline,
                    std::vector<std::uint8_t>& out) {
-  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-      deadline - SteadyClock::now());
-  pollfd p{fd, POLLIN, 0};
-  const int ready = ::poll(
-      &p, 1,
-      static_cast<int>(std::clamp<std::int64_t>(
-          left.count(), 0, std::numeric_limits<int>::max())));
-  if (ready == 0 || (ready < 0 && errno == EINTR)) return ReadResult::kIdle;
-  if (ready < 0) return ReadResult::kClosed;
   std::uint8_t buf[4096];
-  const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+  ssize_t n = -1;
+  auto try_recv = [&] {
+    n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    return n >= 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+  };
+  if (!rt::spin_until(rt::spin_stop(deadline - SteadyClock::now()),
+                      try_recv)) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - SteadyClock::now());
+    pollfd p{fd, POLLIN, 0};
+    const int ready = ::poll(
+        &p, 1,
+        static_cast<int>(std::clamp<std::int64_t>(
+            left.count(), 0, std::numeric_limits<int>::max())));
+    if (ready == 0 || (ready < 0 && errno == EINTR)) return ReadResult::kIdle;
+    if (ready < 0) return ReadResult::kClosed;
+    try_recv();
+  }
   if (n > 0) {
     out.insert(out.end(), buf, buf + n);
     return ReadResult::kData;

@@ -6,6 +6,7 @@
 
 #include "core/config.h"
 #include "obs/trace.h"
+#include "runtime/spin.h"
 
 namespace cbp {
 
@@ -59,7 +60,7 @@ void OrderingGuard::release() {
     std::scoped_lock lock(group_->mu);
     group_->acked[static_cast<std::size_t>(rank_)] = 1;
   }
-  rt::clock_notify_all(group_->cv);
+  rt::notify_handoff(group_->cv, group_->epoch);
   CBP_OBS_EVENT(obs::EventKind::kGuardAck, group_->name_id, rank_);
   group_.reset();
   rank_ = -1;
@@ -571,7 +572,7 @@ TriggerResult Engine::trigger_local(const internal::NameRecord& record,
                          static_cast<std::uint16_t>(progress));
     }
   }
-  if (!out.resumed.empty()) rt::clock_notify_all(slot->cv);
+  if (!out.resumed.empty()) rt::notify_handoff(slot->cv, slot->epoch);
 
   switch (out.kind) {
     case PatternMatcher::Outcome::Kind::kNoMatch:
@@ -601,7 +602,7 @@ TriggerResult Engine::trigger_local(const internal::NameRecord& record,
                                     record.id, w->matched_rank, detail);
         }
       }
-      rt::clock_notify_all(slot->cv);
+      rt::notify_handoff(slot->cv, slot->epoch);
       break;
     }
     case PatternMatcher::Outcome::Kind::kPark: {
@@ -610,9 +611,21 @@ TriggerResult Engine::trigger_local(const internal::NameRecord& record,
       CBP_OBS_EVENT(obs::EventKind::kPostpone, record.id, rank);
 
       rt::Stopwatch wait_clock;  // follows the active clock
-      rt::clock_wait_for(slot->cv, lock, scaled(timeout), [&] {
+      auto settled = [&] {
         return waiter.matched || waiter.cancelled || waiter.resumed;
-      });
+      };
+      // Spin, then park: the spin comes out of the postponement bound.
+      // A bound the spin used up parks no more: even an expired kernel
+      // wait would sleep up to the thread's timer slack (50 us).
+      // `spinning` tells a matcher that this thread is still on a CPU.
+      const rt::Duration bound = scaled(timeout);
+      waiter.spinning = true;
+      const rt::Duration left =
+          bound - rt::spin_wait(lock, slot->epoch, bound, settled);
+      waiter.spinning = false;
+      if (left > rt::Duration::zero()) {
+        rt::clock_wait_for(slot->cv, lock, left, settled);
+      }
       const std::int64_t wait_us = wait_clock.elapsed_us();
       slot->cold.total_wait_us += wait_us;
       slot->cold.wait_hist.record(
@@ -651,7 +664,9 @@ TriggerResult Engine::trigger_local(const internal::NameRecord& record,
           for (internal::Waiter* orphan : detached.orphans) {
             orphan->cancelled = true;
           }
-          if (!detached.orphans.empty()) rt::clock_notify_all(slot->cv);
+          if (!detached.orphans.empty()) {
+            rt::notify_handoff(slot->cv, slot->epoch);
+          }
         }
       }
       if (waiter.cancelled) {
@@ -836,7 +851,7 @@ void Engine::cancel_all() {
       std::scoped_lock lock(slot->mu);
       for (internal::Waiter* w : slot->postponed) w->cancelled = true;
     }
-    rt::clock_notify_all(slot->cv);
+    rt::notify_handoff(slot->cv, slot->epoch);
   }
 }
 

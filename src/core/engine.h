@@ -130,6 +130,9 @@ struct HotCounters {
 struct Slot {
   mutable std::mutex mu;
   std::condition_variable cv;
+  /// Bumped by every notify of cv (rt::notify_handoff); a parking
+  /// waiter's spin phase watches it (runtime/spin.h).
+  std::atomic<std::uint64_t> epoch{0};
   std::vector<Waiter*> postponed;  // guarded by mu
   HotCounters hot;                 // lock-free (see above)
   BreakpointStats cold;            // guarded by mu; slow-path fields only

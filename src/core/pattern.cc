@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "core/btrigger.h"
+#include "runtime/spin.h"
 #include "runtime/vclock.h"
 
 namespace cbp {
@@ -573,6 +574,7 @@ void PatternMatcher::publish_hit(const std::vector<internal::Waiter*>& members,
     const auto ri = static_cast<std::size_t>(r);
     if (r == mine) {
       group->uses_guard[ri] = scoped ? 1 : 0;
+      group->running[ri] = 1;
       out.info.threads[ri] = tid;
       continue;
     }
@@ -581,6 +583,7 @@ void PatternMatcher::publish_hit(const std::vector<internal::Waiter*>& members,
     w->matched_rank = r;
     w->group = group;
     group->uses_guard[ri] = w->scoped ? 1 : 0;
+    group->running[ri] = w->spinning ? 1 : 0;
     out.info.threads[ri] = w->tid;
     out.matched.push_back(w);
   }
@@ -602,17 +605,24 @@ void PatternMatcher::await_turn(internal::GroupState& group, int rank,
   // rank writing its own flag on entry — let a later rank read
   // uses_guard[q] == 0 for a scoped q that had released but not yet
   // been observed to be scoped, skipping the ack wait entirely.
+  // A wait on a lower rank that was running at the match spins first,
+  // out of the cap (spin, then park: runtime/spin.h); the order_delay
+  // sleep below does not.
+  auto wait_for_rank = [&](std::size_t qi, auto ready) {
+    if (group.running[qi]) {
+      rt::spin_wait(lock, group.epoch, cap_deadline - rt::clock_now(), ready);
+    }
+    return rt::clock_wait_until(group.cv, lock, cap_deadline, ready);
+  };
   for (int q = 0; q < rank; ++q) {
     const auto qi = static_cast<std::size_t>(q);
     if (group.uses_guard[qi]) {
-      if (!rt::clock_wait_until(group.cv, lock, cap_deadline,
-                                [&] { return group.acked[qi] != 0; })) {
+      if (!wait_for_rank(qi, [&] { return group.acked[qi] != 0; })) {
         break;  // cap exceeded: degrade to proceeding (never hang)
       }
       continue;
     }
-    if (!rt::clock_wait_until(group.cv, lock, cap_deadline,
-                              [&] { return group.released[qi] != 0; })) {
+    if (!wait_for_rank(qi, [&] { return group.released[qi] != 0; })) {
       break;  // cap exceeded: degrade to proceeding (never hang)
     }
     const auto turn_at = group.release_time[qi] + order_delay;
@@ -624,7 +634,7 @@ void PatternMatcher::await_turn(internal::GroupState& group, int rank,
   group.release_time[static_cast<std::size_t>(rank)] = rt::clock_now();
   if (!scoped) group.acked[static_cast<std::size_t>(rank)] = 1;
   lock.unlock();
-  rt::clock_notify_all(group.cv);
+  rt::notify_handoff(group.cv, group.epoch);
 }
 
 }  // namespace cbp

@@ -57,6 +57,7 @@
 // (src/broker): only the candidates' order and who may join differ.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -95,16 +96,25 @@ struct GroupState {
         released(static_cast<std::size_t>(arity_in), 0),
         acked(static_cast<std::size_t>(arity_in), 0),
         uses_guard(static_cast<std::size_t>(arity_in), 0),
+        running(static_cast<std::size_t>(arity_in), 0),
         release_time(static_cast<std::size_t>(arity_in)) {}
 
   std::mutex mu;
   std::condition_variable cv;
+  /// Bumped by every notify of cv (rt::notify_handoff), guard acks
+  /// included; await_turn's spin phase watches it (runtime/spin.h).
+  std::atomic<std::uint64_t> epoch{0};
   const int arity;
   std::uint32_t name_id = obs::kNoName;     // fixed before publication
   rt::TimePoint match_time{};               // fixed before publication
   std::vector<char> released;               // guarded by mu
   std::vector<char> acked;                  // guarded by mu
   std::vector<char> uses_guard;             // fixed before publication
+  /// Rank r's thread was on a CPU at the match: the matching caller, or
+  /// a waiter caught in its spin phase.  await_turn spins only on such
+  /// a rank; one asleep in the kernel must first be woken, and a spin
+  /// on it would only give the CPU away (see runtime/spin.h).
+  std::vector<char> running;                // fixed before publication
   std::vector<rt::TimePoint> release_time;  // guarded by mu
 };
 
@@ -120,6 +130,7 @@ struct Waiter {
   bool scoped = false;
   bool matched = false;    // guarded by slot mutex
   bool cancelled = false;  // guarded by slot mutex
+  bool spinning = false;   // guarded by slot mutex: in its spin phase
   /// Pattern waiters only: wake and continue *without* a hit (the run
   /// consumed this event but still needs this thread later, or the run
   /// completed without ever consuming it).  Guarded by the slot mutex.

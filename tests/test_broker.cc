@@ -2,7 +2,8 @@
 // in-process broker/client protocol (match, rank order, timeout,
 // cancel, peer loss and its release latency, many connections at once,
 // callers sharing a client's read role, a 3-ary group, grant cap,
-// broker death and writes after it), raw-socket protocol errors, CANCEL
+// broker death and writes after it, a caller ended while it spins before
+// its poll), raw-socket protocol errors, CANCEL
 // of a granted token and a k-ary pick's preference for other
 // connections, and fork-based
 // cross-process smoke at the engine level — two worker processes
@@ -482,6 +483,69 @@ TEST(BrokerClientProtocolTest, IdleClientFailsFastAfterBrokerStops) {
   EXPECT_LT(elapsed, 100ms);
   EXPECT_FALSE(a->connected());
   a->shutdown();
+}
+
+/// Ends a partnerless remote postponement with `end` (a client
+/// shutdown or a broker stop) at a spread of delays after its caller
+/// starts: 0 to 115 us in 5 us steps, so some land before the ARRIVE is
+/// sent, some while the caller retries recv through its spin budget
+/// (runtime/spin.h) and some once it sleeps in poll().  Every time the
+/// caller must get kError within 100 ms, and `end` must return as fast
+/// (a client shutdown returns only once the read role is handed back).
+template <class Connect, class End>
+void expect_spinning_caller_fails_fast(Connect connect, End end) {
+  constexpr int kRounds = 24;
+  for (int round = 0; round < kRounds; ++round) {
+    std::shared_ptr<broker::BrokerClient> client = connect();
+    ASSERT_NE(client, nullptr);
+    std::atomic<bool> calling{false};
+    RemoteTriggerResult r;
+    SteadyClock::time_point returned;
+    // A name per round: the broker may not yet have dropped the last
+    // round's arrival, which would be this one's partner.
+    const std::string name = "spin-alone-" + std::to_string(round);
+    std::thread caller([&] {
+      calling.store(true);
+      r = client->trigger_remote(make_request(name, 0, 5000ms));
+      returned = SteadyClock::now();
+    });
+    // Yielding waits: the caller may share this thread's CPU.
+    while (!calling.load()) std::this_thread::yield();
+    const auto end_at = SteadyClock::now() + round * 5us;
+    while (SteadyClock::now() < end_at) std::this_thread::yield();
+    const auto end_start = SteadyClock::now();
+    end(*client);
+    const auto end_took = SteadyClock::now() - end_start;
+    caller.join();
+
+    EXPECT_EQ(r.outcome, RemoteOutcome::kError) << "round " << round;
+    EXPECT_LT(returned - end_start, 100ms) << "round " << round;
+    EXPECT_LT(end_took, 100ms) << "round " << round;
+    EXPECT_FALSE(client->connected()) << "round " << round;
+    client->shutdown();
+  }
+}
+
+TEST(BrokerClientProtocolTest, SpinningCallerFailsFastOnClientShutdown) {
+  const std::string path = test_socket_path("spin-shutdown");
+  broker::Broker server({path});
+  ASSERT_TRUE(server.start());
+  expect_spinning_caller_fails_fast(
+      [&] { return broker::BrokerClient::connect(path); },
+      [](broker::BrokerClient& client) { client.shutdown(); });
+  server.stop();
+}
+
+TEST(BrokerClientProtocolTest, SpinningCallerFailsFastOnBrokerStop) {
+  std::unique_ptr<broker::Broker> server;
+  expect_spinning_caller_fails_fast(
+      [&] {
+        const std::string path = test_socket_path("spin-stop");
+        server = std::make_unique<broker::Broker>(broker::BrokerOptions{path});
+        EXPECT_TRUE(server->start());
+        return broker::BrokerClient::connect(path);
+      },
+      [&](broker::BrokerClient&) { server->stop(); });
 }
 
 TEST(BrokerClientProtocolTest, SharedClientsPassTheReadRoleInRankOrder) {

@@ -8,8 +8,15 @@
 // EXACT, not approximate: this pins down that the lock-free interning,
 // spec and admission fast paths lose no events and double-count
 // nothing, on the rendezvous, pattern and process-group paths alike.
+//
+// The last block covers the spin phase in front of every park
+// (runtime/spin.h): a postponement bound below the spin budget stays
+// exact, a guard-wait cap below it still degrades, and two partners
+// sharing one CPU still hand a hit over in microseconds.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +33,21 @@
 
 #include "core/cbp.h"
 #include "runtime/clock.h"
+#include "runtime/spin.h"
+
+// TSan slows every atomic and mutex operation by an order of magnitude,
+// so microsecond latency bounds mean nothing there; those checks are
+// skipped under it while the workload (and its exact counts) still runs.
+#if defined(__SANITIZE_THREAD__)
+#define CBP_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CBP_TSAN_ACTIVE 1
+#endif
+#endif
+#ifndef CBP_TSAN_ACTIVE
+#define CBP_TSAN_ACTIVE 0
+#endif
 
 namespace cbp {
 namespace {
@@ -489,6 +511,151 @@ TEST_F(EngineStressTest, RemoteAdmissionScreensWithoutTheSlotMutex) {
     EXPECT_EQ(remote.ignored, local.ignored) << outcome;
     EXPECT_EQ(remote.postponed, local.postponed) << outcome;
     EXPECT_EQ(remote.postponed, 0u) << outcome;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Spin, then park
+// ---------------------------------------------------------------------------
+
+// Postponement bounds below the spin budget: the spin comes out of T, so
+// an unmatched park still returns after about T (not T + the budget),
+// counts exactly one timeout per call, and the spun time is part of the
+// measured wait.  Rendezvous and pattern parks share the tail.
+TEST_F(EngineStressTest, PostponementBoundBelowSpinBudgetStaysExact) {
+  constexpr std::uint64_t kCalls = 20;
+  constexpr std::chrono::microseconds kBounds[] = {0us, 5us, 20us};
+  static_assert(20us < rt::kSpinBudget);
+  std::ostringstream spec;
+  for (const auto bound : kBounds) {
+    spec << "spin-pattern-" << bound.count()
+         << " pattern=first:t1.second:t2\n";
+  }
+  BreakpointSpec::parse(spec.str()).install();
+  Engine& engine = Engine::instance();
+
+  for (const auto bound : kBounds) {
+    for (const bool pattern : {false, true}) {
+      const std::string name =
+          std::string(pattern ? "spin-pattern-" : "spin-rendezvous-") +
+          std::to_string(bound.count());
+      auto fastest = rt::Duration::max();
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        OrderTrigger bt(name);
+        // A yield the host stretched past the budget would stop this
+        // thread's spins for a while (rt::kLostYieldBackoff); each call
+        // starts with spinning allowed.
+        rt::internal::t_spin_after = {};
+        const auto start = rt::Clock::now();
+        const TriggerResult r =
+            pattern ? engine.trigger_site(bt, "first", bound, false)
+                    : engine.trigger(bt, 0, 2, bound, false);
+        const rt::Duration took = rt::Clock::now() - start;
+        EXPECT_FALSE(r.hit) << name;
+        EXPECT_GE(took, bound) << name;
+        EXPECT_LT(took, bound + 50ms) << name;  // loose: any load
+        fastest = std::min(fastest, took);
+      }
+      if (!CBP_TSAN_ACTIVE) {
+        // A spin added on top of T would make even the fastest call
+        // take T + kSpinBudget.
+        EXPECT_LT(fastest, bound + rt::kSpinBudget * 4 / 5) << name;
+      }
+      const BreakpointStats stats = engine.stats(name);
+      EXPECT_EQ(stats.postponed, kCalls) << name;
+      EXPECT_EQ(stats.timeouts, kCalls) << name;
+      EXPECT_EQ(stats.hits, 0u) << name;
+      EXPECT_EQ(stats.wait_hist.count, kCalls) << name;
+      EXPECT_GE(stats.total_wait_us,
+                static_cast<std::int64_t>(kCalls * bound.count()))
+          << name;
+      EXPECT_GE(stats.wait_hist.max,
+                static_cast<std::uint64_t>(bound.count())) << name;
+    }
+  }
+}
+
+// A guard-wait cap below the spin budget: rank 1 of a scoped hit whose
+// rank 0 keeps its guard still proceeds once the cap passes.
+TEST_F(EngineStressTest, GuardWaitCapBelowSpinBudgetStillDegrades) {
+  constexpr std::chrono::microseconds kCap{20};
+  static_assert(kCap < rt::kSpinBudget);
+  Engine& engine = Engine::instance();
+  const std::int64_t saved_cap = engine.settings().guard_wait_cap_us.load();
+  engine.settings().guard_wait_cap_us.store(kCap.count());
+
+  std::atomic<bool> rank1_done{false};
+  std::thread holder([&] {
+    OrderTrigger bt("spin-cap");
+    TriggerResult r = engine.trigger(bt, 0, 2, 10'000'000us, true);
+    EXPECT_TRUE(r.hit);
+    // Keep the guard until rank 1 has returned without it.
+    while (!rank1_done.load()) std::this_thread::sleep_for(1ms);
+  });
+  while (engine.stats("spin-cap").postponed == 0) {
+    std::this_thread::sleep_for(100us);
+  }
+  OrderTrigger bt("spin-cap");
+  const auto start = rt::Clock::now();
+  const TriggerResult r = engine.trigger(bt, 1, 2, 10'000'000us, true);
+  const rt::Duration took = rt::Clock::now() - start;
+  rank1_done.store(true);
+  holder.join();
+
+  EXPECT_TRUE(r.hit);
+  EXPECT_GE(took, kCap);
+  EXPECT_LT(took, 1s);  // degraded after the cap, not after the holder
+  EXPECT_EQ(engine.stats("spin-cap").hits, 1u);
+  engine.settings().guard_wait_cap_us.store(saved_cap);
+}
+
+// Both partners of a scoped 2-ary rendezvous pinned to one CPU.  Each
+// handoff's spin must yield the CPU to the partner it waits for: a spin
+// that only paused would hold the partner off for the whole budget at
+// every step (about 100-230 us per hit, measured).
+TEST_F(EngineStressTest, PartnersSharingOneCpuHandOffInMicroseconds) {
+  constexpr int kHits = 2000;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+
+  Engine& engine = Engine::instance();
+  std::vector<rt::Duration> latency(kHits);
+  auto partner = [&](int rank) {
+    EXPECT_EQ(::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one),
+              0);
+    for (int i = 0; i < kHits; ++i) {
+      OrderTrigger bt("spin-one-cpu");
+      const auto start = rt::Clock::now();
+      TriggerResult r = engine.trigger(bt, rank, 2, 10'000'000us, true);
+      r.guard.release();
+      if (rank == 0) {
+        latency[static_cast<std::size_t>(i)] = rt::Clock::now() - start;
+      }
+      EXPECT_TRUE(r.hit);
+    }
+  };
+  std::thread a(partner, 0);
+  std::thread b(partner, 1);
+  a.join();
+  b.join();
+
+  EXPECT_EQ(engine.stats("spin-one-cpu").hits,
+            static_cast<std::uint64_t>(kHits));
+  std::nth_element(latency.begin(), latency.begin() + kHits / 2,
+                   latency.end());
+  const auto median = latency[kHits / 2];
+  if (!CBP_TSAN_ACTIVE) {
+    EXPECT_LT(median, 50us)
+        << "median hit "
+        << std::chrono::duration_cast<std::chrono::nanoseconds>(median).count()
+        << " ns on one CPU";
   }
 }
 

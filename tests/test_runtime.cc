@@ -1,9 +1,13 @@
 // Unit tests for the runtime substrate: clocks, RNG, thread registry,
-// lock tracker, latches/barriers, and the bounded channel.
+// lock tracker, latches/barriers, the bounded channel, and the spin
+// phase in front of a park.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <thread>
 #include <vector>
@@ -15,7 +19,9 @@
 #include "runtime/lock_tracker.h"
 #include "runtime/rng.h"
 #include "runtime/sim_crash.h"
+#include "runtime/spin.h"
 #include "runtime/thread_registry.h"
+#include "runtime/vclock.h"
 
 namespace cbp::rt {
 namespace {
@@ -469,6 +475,59 @@ TEST(Artifact, NamesMatchPaperVocabulary) {
   EXPECT_STREQ(artifact_name(Artifact::kLogCorruption), "log corruption");
   EXPECT_STREQ(artifact_name(Artifact::kLogOmission), "log omission");
   EXPECT_STREQ(artifact_name(Artifact::kLogDisorder), "log disorder");
+}
+
+// ---------------------------------------------------------------------------
+// Spin, then park
+// ---------------------------------------------------------------------------
+
+TEST(Spin, NeverSpinsUnderAVirtualClock) {
+  internal::t_spin_after = {};
+  EXPECT_NE(spin_stop(1s), TimePoint::min());
+  VirtualClock vc;
+  ScopedClock bind(&vc);
+  EXPECT_EQ(spin_stop(1s), TimePoint::min());
+}
+
+// A busy loop pinned to this thread's CPU: the spin's first yield hands
+// it the CPU for a time slice, which must end the spin and stop this
+// thread from spinning for the backoff.
+TEST(Spin, YieldLostToABusyCpuStopsSpinning) {
+  cpu_set_t saved;
+  ASSERT_EQ(::pthread_getaffinity_np(::pthread_self(), sizeof(saved), &saved),
+            0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+
+  std::atomic<bool> busy{true};
+  std::atomic<bool> started{false};
+  std::thread hog([&] {
+    ::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one);
+    started.store(true);
+    while (busy.load(std::memory_order_relaxed)) {
+    }
+  });
+  ASSERT_EQ(::pthread_setaffinity_np(::pthread_self(), sizeof(one), &one), 0);
+  while (!started.load()) std::this_thread::yield();
+
+  internal::t_spin_after = {};
+  const TimePoint start = Clock::now();
+  EXPECT_FALSE(spin_until(start + 10s, [] { return false; }));
+  const TimePoint end = Clock::now();
+  busy.store(false);
+  hog.join();
+  ::pthread_setaffinity_np(::pthread_self(), sizeof(saved), &saved);
+
+  EXPECT_LT(end - start, 10s);  // ended by the lost yield, not the stop
+  EXPECT_GT(end - start, kSpinBudget);
+  EXPECT_GE(internal::t_spin_after, end);
+  EXPECT_EQ(spin_stop(1s, end), TimePoint::min());
+  EXPECT_NE(spin_stop(1s, end + kLostYieldBackoff), TimePoint::min());
+  internal::t_spin_after = {};
 }
 
 }  // namespace
